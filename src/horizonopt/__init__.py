@@ -48,8 +48,11 @@ from .analytics import (
     expected_utility,
     fixed_horizon_wealth,
     martingale_regression,
+    mean_se,
+    paired_ce_diff,
     stopped_samples,
     stopped_variance,
+    stratified_dates,
 )
 
 __version__ = "0.1.0"
@@ -88,6 +91,9 @@ __all__ = [
     "StoppedSampleSet",
     "MeanWithError",
     "HorizonComparison",
+    "mean_se",
+    "paired_ce_diff",
+    "stratified_dates",
     "stopped_samples",
     "expected_utility",
     "certainty_equivalent",

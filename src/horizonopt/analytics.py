@@ -6,8 +6,10 @@ carries a standard error; comparisons are paired path by path (common
 random numbers) so ordering statements can be tested against their own
 standard errors.
 
-Stopping dates are stratified: with n paths and stopping probability p,
-exactly round(p n) samples stop early. This removes stopping-date noise
+Stopping dates are stratified: n paths are shared out over the mass dates
+by the largest-remainder rule (``stratified_dates``), so each date gets the
+floor of p n paths and the leftover paths go to the largest fractional
+parts, a tie going to the earlier date. This removes stopping-date noise
 from comparisons; the remaining randomness is in the market draws.
 """
 
@@ -20,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.typing import NDArray
 
-from .market import SimulatedPaths, bridge_insert
+from .market import HorizonDistribution, bridge_insert
 from .nonconcave import ProblemSpec, SolverSolution, solve_fixed_horizon
 from .payoff import ContractUtility, inverse_marginal, payoff_value
 
@@ -28,6 +30,9 @@ __all__ = [
     "MeanWithError",
     "StoppedSampleSet",
     "HorizonComparison",
+    "mean_se",
+    "paired_ce_diff",
+    "stratified_dates",
     "stopped_samples",
     "expected_utility",
     "certainty_equivalent",
@@ -41,6 +46,14 @@ __all__ = [
 class MeanWithError(NamedTuple):
     value: float
     se: float
+
+
+def mean_se(x) -> MeanWithError:
+    """Sample mean with its standard error (0 for a single sample)."""
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    se = float(np.std(x, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    return MeanWithError(float(np.mean(x)), se)
 
 
 @dataclass(frozen=True)
@@ -62,20 +75,35 @@ class StoppedSampleSet:
         return int(self.dates.size)
 
 
+def stratified_dates(horizon: HorizonDistribution, n: int) -> NDArray[np.float64]:
+    """Per-path stopping dates with exact counts, in date order.
+
+    Largest remainder: each mass date gets floor(p n) paths, and the
+    n - sum of floors leftover paths go one each to the dates with the
+    largest fractional parts of p n. A tie goes to the earlier date, so
+    p = 1/2 at odd n stops (n + 1) / 2 paths early.
+    """
+    ideal = np.array(horizon.all_probs) * n
+    counts = np.floor(ideal).astype(int)
+    order = np.argsort(counts - ideal, kind="stable")
+    counts[order[: n - counts.sum()]] += 1
+    return np.repeat(np.array(horizon.grid), counts)
+
+
 def stopped_samples(spec: ProblemSpec, solution: SolverSolution) -> StoppedSampleSet:
     """Stratified stopped-wealth samples of a two-date solution.
 
-    The first round(p n) paths stop at T_1 with their stop-date wealth,
-    the rest run to the terminal date. Path order matches the solution
-    arrays, so sample i of two coupled sets refers to the same draws.
+    The first paths, as many as ``stratified_dates`` gives T_1, stop there
+    with their stop-date wealth; the rest run to the terminal date. Path
+    order matches the solution arrays, so sample i of two coupled sets
+    refers to the same draws.
     """
     p = spec.horizon.probs[0]
     t1 = spec.horizon.dates[0]
     T = spec.horizon.terminal
     n = solution.n_paths
-    k = int(round(p * n))
-    dates = np.where(np.arange(n) < k, t1, T)
-    wealth = np.where(np.arange(n) < k, solution.wealth_T1, solution.wealth_T)
+    dates = stratified_dates(spec.horizon, n)
+    wealth = np.where(dates == t1, solution.wealth_T1, solution.wealth_T)
     meta = {"seed": solution.seed, "n_paths": n, "p": p, "t1": t1, "terminal": T}
     return StoppedSampleSet(dates=dates, wealth=wealth, meta=meta)
 
@@ -84,10 +112,7 @@ def expected_utility(sset: StoppedSampleSet, c: ContractUtility) -> MeanWithErro
     """Sample mean of the contract utility with its standard error."""
     if np.any(sset.wealth < 0.0):
         raise ValueError("negative wealth in sample set")
-    values = payoff_value(c, sset.wealth)
-    n = sset.n
-    se = float(np.std(values, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    return MeanWithError(float(np.mean(values)), se)
+    return mean_se(payoff_value(c, sset.wealth))
 
 
 def certainty_equivalent(eu: float, c: ContractUtility) -> float:
@@ -128,6 +153,19 @@ def _ce_slope(eu: float, c: ContractUtility) -> float:
     return 1.0 / float(c.marginal_above(max(ce, c.threshold * (1 + 1e-12))))
 
 
+def paired_ce_diff(values_a, values_b, c: ContractUtility) -> MeanWithError:
+    """CE(mean a) - CE(mean b) for paired utility samples, with its standard error.
+
+    The error comes from the per-path influence values of the two
+    certainty equivalents (delta method), which is valid for coupled as
+    well as independent samples.
+    """
+    eu_a, eu_b = float(np.mean(values_a)), float(np.mean(values_b))
+    influence = _ce_slope(eu_a, c) * (values_a - eu_a) - _ce_slope(eu_b, c) * (values_b - eu_b)
+    diff = certainty_equivalent(eu_a, c) - certainty_equivalent(eu_b, c)
+    return MeanWithError(diff, mean_se(influence).se)
+
+
 @dataclass(frozen=True)
 class HorizonComparison:
     """Uncertain-horizon performance against the matched fixed horizon."""
@@ -155,16 +193,8 @@ def fixed_horizon_wealth(
     between the solution's stored dates (a Brownian bridge), so the fixed
     and uncertain samples share their randomness path by path.
     """
-    t1 = spec.horizon.dates[0]
-    T = spec.horizon.terminal
     fixed = solve_fixed_horizon(spec, horizon=horizon)
-    base = SimulatedPaths(
-        params=spec.market,
-        dates=(t1, T),
-        w=np.column_stack([solution.w_T1, solution.w_T]),
-        h=np.column_stack([solution.h_T1, solution.h_T]),
-    )
-    refined = bridge_insert(base, horizon, seed=solution.seed)
+    refined = bridge_insert(solution.paths, horizon, seed=solution.seed)
     _, h_mid = refined.column(horizon)
     wealth = inverse_marginal(spec.contract, fixed.nu * h_mid)
     return fixed.nu, np.asarray(wealth)
@@ -191,37 +221,26 @@ def compare_to_fixed(
     eu_u = expected_utility(sset, c)
     values_u = payoff_value(c, sset.wealth)
     values_f = payoff_value(c, wealth_fixed)
-    n = sset.n
-    eu_f = MeanWithError(
-        float(np.mean(values_f)), float(np.std(values_f, ddof=1) / math.sqrt(n))
-    )
-
-    ce_u = certainty_equivalent(eu_u.value, c)
-    ce_f = certainty_equivalent(eu_f.value, c)
-    slope_u = _ce_slope(eu_u.value, c)
-    slope_f = _ce_slope(eu_f.value, c)
-    ce_influence = slope_u * (values_u - eu_u.value) - slope_f * (values_f - eu_f.value)
-    ce_diff_se = float(np.std(ce_influence, ddof=1) / math.sqrt(n))
+    eu_f = mean_se(values_f)
+    ce_diff = paired_ce_diff(values_u, values_f, c)
 
     var_u = stopped_variance(sset)
     var_f = MeanWithError(float(np.var(wealth_fixed, ddof=1)), _variance_se(wealth_fixed))
     infl_u = (sset.wealth - sset.wealth.mean()) ** 2
     infl_f = (wealth_fixed - wealth_fixed.mean()) ** 2
-    var_influence = infl_u - infl_f
-    var_diff_se = float(np.std(var_influence, ddof=1) / math.sqrt(n))
 
     return HorizonComparison(
         t_tilde=t_tilde,
         eu_uncertain=eu_u,
         eu_fixed=eu_f,
-        ce_uncertain=ce_u,
-        ce_fixed=ce_f,
-        ce_diff=ce_u - ce_f,
-        ce_diff_se=ce_diff_se,
+        ce_uncertain=certainty_equivalent(eu_u.value, c),
+        ce_fixed=certainty_equivalent(eu_f.value, c),
+        ce_diff=ce_diff.value,
+        ce_diff_se=ce_diff.se,
         var_uncertain=var_u,
         var_fixed=var_f,
         var_diff=var_u.value - var_f.value,
-        var_diff_se=var_diff_se,
+        var_diff_se=mean_se(infl_u - infl_f).se,
         nu_fixed=nu_fixed,
     )
 

@@ -21,10 +21,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -34,13 +33,17 @@ from .analytics import (
     certainty_equivalent,
     compare_to_fixed,
     expected_utility,
+    mean_se,
+    paired_ce_diff,
     stopped_samples,
     stopped_variance,
+    stratified_dates,
 )
 from .concave import solve_merton
 from .market import HorizonDistribution, MarketParams, simulate_paths
 from .nonconcave import (
     ConvergenceError,
+    InnerRootError,
     ProblemSpec,
     solve_fixed_horizon,
     solve_uncertain_horizon,
@@ -80,7 +83,7 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """Validated experiment parameters (defaults: baseline table)."""
 
@@ -141,6 +144,9 @@ class ExperimentConfig:
         x0 = float(data["x0"])
         if x0 <= 0:
             raise ConfigError("x0 must be positive")
+        workers = int(data["workers"])
+        if workers < 1:
+            raise ConfigError(f"workers must be at least 1, got {workers}")
         return cls(
             experiment=data["experiment"],
             market=market,
@@ -150,20 +156,20 @@ class ExperimentConfig:
             n_paths=n_paths,
             seed=int(data["seed"]),
             budget_tol=float(data["budget_tol"]),
-            workers=int(data["workers"]),
+            workers=workers,
             spread_grid=tuple(float(d) for d in data["sweep"]["spread_grid"]),
             prob_grid=tuple(float(p) for p in data["sweep"]["prob_grid"]),
         )
 
-    @classmethod
-    def from_yaml(cls, path: str | Path) -> "ExperimentConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
-        if raw is None:
-            raw = {}
-        if not isinstance(raw, dict):
-            raise ConfigError("config root must be a mapping")
-        return cls.from_mapping(raw)
+
+def _read_yaml(path: str | Path) -> dict:
+    with open(path, "r", encoding="utf-8") as fh:
+        raw = yaml.safe_load(fh)
+    if raw is None:
+        return {}
+    if not isinstance(raw, dict):
+        raise ConfigError("config root must be a mapping")
+    return raw
 
 
 def _fmt(value) -> str:
@@ -184,38 +190,22 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
-def _stratified_dates(horizon: HorizonDistribution, n: int) -> np.ndarray:
-    """Per-path stopping dates with exact (largest-remainder) counts."""
-    probs = np.array(horizon.all_probs)
-    ideal = probs * n
-    counts = np.floor(ideal).astype(int)
-    short = n - counts.sum()
-    order = np.argsort(-(ideal - counts))
-    counts[order[:short]] += 1
-    return np.repeat(np.array(horizon.grid), counts)
-
-
 def _run_merton(cfg: ExperimentConfig, out: Path) -> str:
     sol = solve_merton(cfg.market, cfg.contract.gamma, cfg.horizon, cfg.x0)
     paths = simulate_paths(
         cfg.market, cfg.horizon.grid, cfg.n_paths, cfg.seed, n_workers=cfg.workers
     )
-    dates = _stratified_dates(cfg.horizon, cfg.n_paths)
+    dates = stratified_dates(cfg.horizon, cfg.n_paths)
     gamma = cfg.contract.gamma
     nu = np.array([sol.multiplier(t) for t in cfg.horizon.grid])
-    date_index = {t: j for j, t in enumerate(cfg.horizon.grid)}
-    cols = np.array([date_index[t] for t in dates])
+    cols = np.searchsorted(cfg.horizon.grid, dates)
     h = paths.h[np.arange(cfg.n_paths), cols]
     w = paths.w[np.arange(cfg.n_paths), cols]
     nu_path = nu[cols]
     wealth = (nu_path * h) ** (-1.0 / gamma)
 
-    priced = h * wealth
-    budget = float(priced.mean())
-    budget_se = float(priced.std(ddof=1) / math.sqrt(cfg.n_paths))
-    utilities = wealth ** (1.0 - gamma) / (1.0 - gamma)
-    eu = float(utilities.mean())
-    eu_se = float(utilities.std(ddof=1) / math.sqrt(cfg.n_paths))
+    budget, budget_se = mean_se(h * wealth)
+    eu, eu_se = mean_se(wealth ** (1.0 - gamma) / (1.0 - gamma))
     ce = float(((1.0 - gamma) * eu) ** (1.0 / (1.0 - gamma)))
 
     _write_csv(
@@ -241,9 +231,7 @@ def _run_fixed(cfg: ExperimentConfig, out: Path) -> str:
     paths = simulate_paths(cfg.market, [horizon], cfg.n_paths, cfg.seed, n_workers=cfg.workers)
     w, h = paths.column(horizon)
     wealth = np.asarray(inverse_marginal(cfg.contract, fixed.nu * h))
-    utilities = payoff_value(cfg.contract, wealth)
-    eu = float(utilities.mean())
-    eu_se = float(utilities.std(ddof=1) / math.sqrt(cfg.n_paths))
+    eu, eu_se = mean_se(payoff_value(cfg.contract, wealth))
     ce = certainty_equivalent(eu, cfg.contract)
     var = float(np.var(wealth, ddof=1))
 
@@ -370,19 +358,12 @@ def _run_figure2(cfg: ExperimentConfig, out: Path) -> str:
         if prev is None:
             step = step_se = float("nan")
         else:
-            (eu_p, values_p, ce_p) = prev
-            from .analytics import _ce_slope
-
-            influence = _ce_slope(eu.value, cfg.contract) * (values - eu.value) - _ce_slope(
-                eu_p.value, cfg.contract
-            ) * (values_p - eu_p.value)
-            step = ce - ce_p
-            step_se = float(influence.std(ddof=1) / math.sqrt(cfg.n_paths))
+            step, step_se = paired_ce_diff(values, prev, cfg.contract)
         rows.append([
             p, sol.c_star, sol.budget_residual, eu.value, eu.se,
             ce, var.value, var.se, step, step_se,
         ])
-        prev = (eu, values, ce)
+        prev = values
     _write_csv(
         out / "sweep.csv",
         [
@@ -413,17 +394,10 @@ def run(
 ) -> int:
     """Execute one experiment; returns the process exit status."""
     try:
-        cfg = (
-            ExperimentConfig.from_yaml(config_path)
-            if config_path
-            else ExperimentConfig.from_mapping({})
-        )
-        if seed is not None:
-            cfg.seed = seed
-        if n_paths is not None:
-            cfg.n_paths = n_paths
-        if workers is not None:
-            cfg.workers = workers
+        raw = _read_yaml(config_path) if config_path else {}
+        overrides = {"seed": seed, "n_paths": n_paths, "workers": workers}
+        raw.update((k, v) for k, v in overrides.items() if v is not None)
+        cfg = ExperimentConfig.from_mapping(raw)
         out = Path(out_dir or os.environ.get(OUT_DIR_ENV, "out"))
         out.mkdir(parents=True, exist_ok=True)
         summary = _RUNNERS[cfg.experiment](cfg, out)
@@ -440,6 +414,10 @@ def run(
         json.dump(record, sys.stderr)
         sys.stderr.write("\n")
         return 3
+    except InnerRootError as exc:
+        json.dump({"error": "inner-root", "message": str(exc)}, sys.stderr)
+        sys.stderr.write("\n")
+        return 4
     if not quiet:
         print(f"{summary} -> {out}")
     return 0

@@ -38,9 +38,6 @@ class MertonSolution:
             (self.initial_wealth / f_factor(q, 0.0, s, self.params)) ** (-self.gamma)
         )
 
-    def nu_schedule(self, s: float) -> float:
-        return self.multiplier(s)
-
 
 def solve_merton(
     params: MarketParams, gamma: float, horizon: HorizonDistribution, x: float

@@ -33,7 +33,7 @@ from .market import (
     PathState,
     SimulatedPaths,
     f_factor,
-    g_factor,
+    g_factor,  # not called here: perfbench/trace.py wraps this name in this module
     norm_pdf,
     simulate_paths,
     state_price_density,
@@ -103,58 +103,114 @@ class FixedHorizonSolution:
 class SolverSolution:
     """Calibrated multipliers and wealth samples of the two-date problem.
 
-    Array fields are per path. Multipliers are +inf exactly on zero-wealth
-    paths; on all other paths p nu_T1 + (1 - p) nu_T equals c_star.
+    Array fields are per path, in the row order of ``paths``. Multipliers
+    are +inf exactly on zero-wealth paths; on all other paths
+    p nu_T1 + (1 - p) nu_T equals c_star.
     """
 
     spec: ProblemSpec
+    paths: SimulatedPaths = field(repr=False)
     c_star: float
     nu_T1: NDArray[np.float64] = field(repr=False)
     nu_T: NDArray[np.float64] = field(repr=False)
     wealth_T1: NDArray[np.float64] = field(repr=False)
     wealth_T: NDArray[np.float64] = field(repr=False)
-    w_T1: NDArray[np.float64] = field(repr=False)
-    h_T1: NDArray[np.float64] = field(repr=False)
-    w_T: NDArray[np.float64] = field(repr=False)
-    h_T: NDArray[np.float64] = field(repr=False)
     inner_residuals: NDArray[np.float64] = field(repr=False)
     budget_estimate: float
     budget_residual: float
     iterations: int
     bracket_history: tuple
     seed: int
-    n_paths: int
     budget_tol: float
+
+    @property
+    def n_paths(self) -> int:
+        return self.paths.n_paths
+
+    @property
+    def w_T1(self) -> NDArray[np.float64]:
+        return self.paths.column(self.spec.horizon.dates[0])[0]
+
+    @property
+    def h_T1(self) -> NDArray[np.float64]:
+        return self.paths.column(self.spec.horizon.dates[0])[1]
+
+    @property
+    def w_T(self) -> NDArray[np.float64]:
+        return self.paths.column(self.spec.horizon.terminal)[0]
+
+    @property
+    def h_T(self) -> NDArray[np.float64]:
+        return self.paths.column(self.spec.horizon.terminal)[1]
 
     @property
     def zero_mask(self) -> NDArray[np.bool_]:
         return ~np.isfinite(self.nu_T)
 
 
-def _contract_constants(spec: ProblemSpec):
-    c = spec.contract
-    gamma = c.gamma
-    q = (gamma - 1.0) / gamma
-    scale = c.participation ** (-q)
-    shift = c.guarantee / c.participation - c.threshold
-    return gamma, q, scale, shift, c.gap_slope
+class _Continuation:
+    """Time-t price of the optimal terminal claim, per path.
 
+    For a terminal multiplier nu_T known at t, the claim pays
+    inverse_marginal(nu_T H_T) at T, and its price on a path with
+    W_t = w and H_t = h is
 
-def _fixed_budget(nu: float, spec: ProblemSpec, horizon: float) -> float:
-    """Time-0 price of the optimal terminal claim for multiplier nu."""
-    gamma, q, scale, shift, slope = _contract_constants(spec)
-    m = spec.market
-    g_q = g_factor(q, 0.0, horizon, m, nu, slope, 0.0)
-    g_1 = g_factor(1.0, 0.0, horizon, m, nu, slope, 0.0)
-    return float(scale * nu ** (-1.0 / gamma) * g_q - shift * g_1)
+        V = scale nu_T^(-1/gamma) h^(-1/gamma) g(q, t, T) - shift g(1, t, T),
+
+    where g is the truncated moment of ``market.g_factor``. The per-path
+    constants are computed once; ``value`` and ``delta`` take log nu_T.
+    When the truncation event is known at t (theta = 0, or t = T) each g
+    is f times the indicator of {nu_T H_T <= slope}, as in g_factor.
+    """
+
+    def __init__(self, spec: ProblemSpec, t: float, T: float, w, h):
+        c, m = spec.contract, spec.market
+        self.gamma = c.gamma
+        self.q = (c.gamma - 1.0) / c.gamma
+        self.scale = c.participation ** (-self.q)
+        self.shift = c.guarantee / c.participation - c.threshold
+        self.slope = c.gap_slope
+        self.theta = m.theta
+        self.h_pow = np.asarray(h, dtype=float) ** (-1.0 / c.gamma)
+        # {nu_T H_T <= slope} is {theta (W_T - w) >= log nu_T - edge}
+        self.edge = m.theta * np.asarray(w, dtype=float) + (
+            math.log(c.gap_slope) + m.kernel_drift * T
+        )
+        self.f_q = float(f_factor(self.q, t, T, m))
+        self.f_1 = float(f_factor(1.0, t, T, m))
+        self.s_dt = abs(m.theta) * math.sqrt(T - t)
+
+    def _z(self, log_nu):
+        """Normal quantiles of g(q, t, T) and g(1, t, T)."""
+        z = (self.edge - log_nu) / self.s_dt
+        return z - self.q * self.s_dt, z - self.s_dt
+
+    def value(self, log_nu):
+        lead = self.scale * np.exp(-log_nu / self.gamma) * self.h_pow
+        if self.s_dt == 0.0:
+            return (lead * self.f_q - self.shift * self.f_1) * (self.edge >= log_nu)
+        z_q, z_1 = self._z(log_nu)
+        return lead * self.f_q * ndtr(z_q) - self.shift * self.f_1 * ndtr(z_1)
+
+    def delta(self, log_nu):
+        """dV/dw: h^(-1/gamma) moves at theta/gamma, both z at theta/s_dt."""
+        lead = self.scale * np.exp(-log_nu / self.gamma) * self.h_pow
+        myopic = self.theta / self.gamma * lead * self.f_q
+        if self.s_dt == 0.0:
+            return myopic * (self.edge >= log_nu)
+        z_q, z_1 = self._z(log_nu)
+        return myopic * ndtr(z_q) + self.theta / self.s_dt * (
+            lead * self.f_q * norm_pdf(z_q) - self.shift * self.f_1 * norm_pdf(z_1)
+        )
 
 
 def solve_fixed_horizon(spec: ProblemSpec, horizon: float | None = None) -> FixedHorizonSolution:
     """Deterministic terminal multiplier matching the initial capital.
 
     Requires a horizon with no interior stopping mass (or an explicit
-    horizon date). The budget is strictly decreasing in the multiplier, so
-    the root is bracketed by doubling and polished with Brent's method.
+    horizon date). The budget, the time-0 price of the optimal terminal
+    claim, is strictly decreasing in the multiplier, so the root is
+    bracketed by doubling and polished with Brent's method in log nu.
     """
     if horizon is None:
         if spec.horizon.dates:
@@ -163,19 +219,22 @@ def solve_fixed_horizon(spec: ProblemSpec, horizon: float | None = None) -> Fixe
                 "horizon date or a spec without interior stopping dates"
             )
         horizon = spec.horizon.terminal
-    gamma, q, _, _, _ = _contract_constants(spec)
+    claim = _Continuation(spec, 0.0, horizon, 0.0, 1.0)
     x0 = spec.x0
 
-    nu = float((x0 / f_factor(q, 0.0, horizon, spec.market)) ** (-gamma))
+    def budget(nu: float) -> float:
+        return float(claim.value(math.log(nu)))
+
+    nu = float((x0 / claim.f_q) ** (-claim.gamma))
     lo = hi = nu
     for _ in range(400):
-        if _fixed_budget(lo, spec, horizon) >= x0:
+        if budget(lo) >= x0:
             break
         lo /= 4.0
     else:
         raise ConvergenceError("fixed-horizon budget bracketing failed (low side)", [])
     for _ in range(400):
-        if _fixed_budget(hi, spec, horizon) <= x0:
+        if budget(hi) <= x0:
             break
         hi *= 4.0
     else:
@@ -185,14 +244,14 @@ def solve_fixed_horizon(spec: ProblemSpec, horizon: float | None = None) -> Fixe
     else:
         root = math.exp(
             brentq(
-                lambda u: _fixed_budget(math.exp(u), spec, horizon) - x0,
+                lambda u: float(claim.value(u)) - x0,
                 math.log(lo),
                 math.log(hi),
                 xtol=1e-14,
                 rtol=8.9e-16,
             )
         )
-    residual = abs(_fixed_budget(root, spec, horizon) - x0) / x0
+    residual = abs(budget(root) - x0) / x0
     if residual > 1e-10:
         raise ConvergenceError(
             f"fixed-horizon budget residual {residual:.3e} above 1e-10", [(root, residual)]
@@ -227,43 +286,19 @@ class _InnerKernel:
     def __init__(self, spec: ProblemSpec, h_T1, w_T1):
         self.spec = spec
         self.p, self.t1, self.T = _two_date_horizon(spec)
-        gamma, q, scale, shift, slope = _contract_constants(spec)
-        self.gamma, self.q, self.scale, self.shift, self.slope = gamma, q, scale, shift, slope
-        m = spec.market
-        self.theta = m.theta
-        dt = self.T - self.t1
-        self.f_q = float(f_factor(q, self.t1, self.T, m))
-        self.f_1 = float(f_factor(1.0, self.t1, self.T, m))
-        self.s_dt = abs(self.theta) * math.sqrt(dt)
-        self.kdrift_T = m.kernel_drift * self.T
         self.h_T1 = np.asarray(h_T1, dtype=float)
-        self.w_T1 = np.asarray(w_T1, dtype=float)
-        self.h_pow = self.h_T1 ** (-1.0 / gamma)
-        self.theta_w = self.theta * self.w_T1
+        self.claim = _Continuation(spec, self.t1, self.T, w_T1, self.h_T1)
 
-    def _g_levels(self, log_nu):
-        """Truncated moment factors g(q, t1, T) and g(1, t1, T) per path."""
-        if self.theta == 0.0:
-            ind = (log_nu - self.kdrift_T <= math.log(self.slope)).astype(float)
-            return self.f_q * ind, self.f_1 * ind
-        z_base = (self.theta_w - (log_nu - math.log(self.slope) - self.kdrift_T)) / self.s_dt
-        z_q = z_base - self.q * self.s_dt
-        z_1 = z_base - self.s_dt
-        return self.f_q * ndtr(z_q), self.f_1 * ndtr(z_1)
-
-    def continuation_value(self, nu_T, log_nu_T=None):
+    def continuation_value(self, nu_T):
         """Stop-date wealth of the optimal terminal claim with multiplier nu_T."""
-        if log_nu_T is None:
-            log_nu_T = np.log(nu_T)
-        g_q, g_1 = self._g_levels(log_nu_T)
-        nu_pow = np.exp(-log_nu_T / self.gamma)
-        return self.scale * nu_pow * self.h_pow * g_q - self.shift * g_1
+        return self.claim.value(np.log(nu_T))
 
     def residual(self, log_x, C: float):
+        claim = self.claim
         x = np.exp(log_x)
-        nu_T = (C - self.p * x) / (1.0 - self.p)
-        stop_wealth = self.scale * np.exp(-log_x / self.gamma) * self.h_pow - self.shift
-        return stop_wealth - self.continuation_value(nu_T)
+        log_nu_T = np.log((C - self.p * x) / (1.0 - self.p))
+        stop_wealth = claim.scale * np.exp(-log_x / claim.gamma) * claim.h_pow - claim.shift
+        return stop_wealth - claim.value(log_nu_T)
 
     def solve(self, C: float, iters: int):
         """Per-path root, zero-branch detection, wealth and residuals."""
@@ -294,7 +329,7 @@ class _InnerKernel:
         nu_T = (C - self.p * x) / (1.0 - self.p)
         residuals = self.residual(log_x, C)
 
-        zero = x * self.h_T1 > self.slope
+        zero = x * self.h_T1 > self.claim.slope
         nu_T1_out = np.where(zero, np.inf, x)
         nu_T_out = np.where(zero, np.inf, nu_T)
         wealth = inverse_marginal(self.spec.contract, nu_T1_out * self.h_T1)
@@ -363,7 +398,7 @@ def solve_uncertain_horizon(
             if needed not in paths.dates:
                 raise ValueError(f"supplied paths lack the horizon date {needed}")
     w_T1, h_T1 = paths.column(t1)
-    w_T, h_T = paths.column(T)
+    _, h_T = paths.column(T)
 
     kernel = _InnerKernel(spec, h_T1, w_T1)
     x0 = spec.x0
@@ -416,22 +451,18 @@ def solve_uncertain_horizon(
 
     return SolverSolution(
         spec=spec,
+        paths=paths,
         c_star=float(c_star),
         nu_T1=nu_T1,
         nu_T=nu_T,
         wealth_T1=wealth_T1,
         wealth_T=wealth_T,
-        w_T1=np.asarray(w_T1),
-        h_T1=np.asarray(h_T1),
-        w_T=np.asarray(w_T),
-        h_T=np.asarray(h_T),
         inner_residuals=residuals,
         budget_estimate=budget_estimate,
         budget_residual=budget_residual,
         iterations=iterations,
         bracket_history=tuple(history),
         seed=seed,
-        n_paths=n_paths,
         budget_tol=budget_tol,
     )
 
@@ -482,11 +513,7 @@ def wealth_at(
     nu_T = _require_continuation_multiplier(spec, solution, s, state, nu_T)
     if not np.isfinite(nu_T):
         return 0.0
-    gamma, q, scale, shift, slope = _contract_constants(spec)
-    m = spec.market
-    g_q = float(g_factor(q, s, T, m, nu_T, slope, state.w))
-    g_1 = float(g_factor(1.0, s, T, m, nu_T, slope, state.w))
-    return scale * nu_T ** (-1.0 / gamma) * state.h ** (-1.0 / gamma) * g_q - shift * g_1
+    return float(_Continuation(spec, s, T, state.w, state.h).value(math.log(nu_T)))
 
 
 def strategy_at(
@@ -512,35 +539,5 @@ def strategy_at(
     nu_T = _require_continuation_multiplier(spec, solution, s, state, nu_T)
     if not np.isfinite(nu_T):
         return 0.0
-    gamma, q, scale, shift, slope = _contract_constants(spec)
-    m = spec.market
-    theta, sigma = m.theta, m.sigma
-    dt = T - s
-    wealth = wealth_at(spec, solution, s, state, nu_T=nu_T)
-    g_1 = float(g_factor(1.0, s, T, m, nu_T, slope, state.w))
-    f_q = float(f_factor(q, s, T, m))
-    f_1 = float(f_factor(1.0, s, T, m))
-    if theta == 0.0:
-        return 0.0
-    s_dt = abs(theta) * math.sqrt(dt)
-    z_base = (
-        theta * state.w - (math.log(nu_T) - math.log(slope) - m.kernel_drift * T)
-    ) / s_dt
-    z_q = z_base - q * s_dt
-    z_1 = z_base - s_dt
-    sgn = math.copysign(1.0, theta)
-    myopic = theta / (gamma * sigma) * wealth
-    kink = (1.0 / sigma) * shift * (
-        theta / gamma * g_1 - sgn * f_1 * float(norm_pdf(z_1)) / math.sqrt(dt)
-    )
-    boundary = (
-        (1.0 / sigma)
-        * scale
-        * nu_T ** (-1.0 / gamma)
-        * state.h ** (-1.0 / gamma)
-        * f_q
-        * sgn
-        * float(norm_pdf(z_q))
-        / math.sqrt(dt)
-    )
-    return myopic + kink + boundary
+    claim = _Continuation(spec, s, T, state.w, state.h)
+    return float(claim.delta(math.log(nu_T))) / spec.market.sigma

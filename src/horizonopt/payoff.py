@@ -71,9 +71,6 @@ class Interval(NamedTuple):
     lower: float
     upper: float
 
-    def contains(self, m: float) -> bool:
-        return self.lower <= m <= self.upper
-
 
 def _tangency_residual(x: float, base: PowerUtility, alpha: float, b: float, k: float) -> float:
     # u(x) - u(0) - u'(x) x with the right-branch derivative; vanishes at the

@@ -8,6 +8,8 @@ re-solve (same estimand, fresh draws); orderings are asserted only beyond
 
 from __future__ import annotations
 
+import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -20,14 +22,19 @@ from horizonopt import (
     ProblemSpec,
     certainty_equivalent,
     compare_to_fixed,
+    SimulatedPaths,
     expected_utility,
     martingale_regression,
+    mean_se,
+    paired_ce_diff,
     payoff_value,
     solve_uncertain_horizon,
     stopped_samples,
     stopped_variance,
+    stratified_dates,
 )
 from horizonopt.analytics import StoppedSampleSet
+from horizonopt.cli import run
 
 SEED = 909
 
@@ -52,6 +59,72 @@ class TestStoppedSamples:
         k = int(round(0.5 * small_solution.n_paths))
         np.testing.assert_array_equal(sset.wealth[:k], small_solution.wealth_T1[:k])
         np.testing.assert_array_equal(sset.wealth[k:], small_solution.wealth_T[k:])
+
+
+class TestStratifiedDates:
+    THREE_DATES = HorizonDistribution([4.0, 8.0], [0.3, 0.25], 12.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 19, 1000, 10_001])
+    def test_exact_counts_over_three_dates(self, n):
+        dates = stratified_dates(self.THREE_DATES, n)
+        assert dates.size == n
+        assert np.all(np.diff(dates) >= 0.0)
+        counts = np.array([np.sum(dates == t) for t in self.THREE_DATES.grid])
+        ideal = np.array(self.THREE_DATES.all_probs) * n
+        assert np.all(np.abs(counts - ideal) < 1.0)
+
+    def test_largest_remainder_wins(self):
+        # 7 * (0.3, 0.25, 0.45) = (2.1, 1.75, 3.15): floors (2, 1, 3), one
+        # path left, and it goes to the largest fractional part 0.75
+        dates = stratified_dates(self.THREE_DATES, 7)
+        assert [int(np.sum(dates == t)) for t in self.THREE_DATES.grid] == [2, 2, 3]
+
+    def test_tie_goes_to_the_earlier_date(self):
+        dates = stratified_dates(HorizonDistribution([8.0], [0.5], 12.0), 10_001)
+        assert int(np.sum(dates == 8.0)) == 5_001
+
+    def test_merton_csv_and_stopped_samples_agree(self, spec, small_solution, tmp_path):
+        # p = 1/2 at odd n is the tie case of the rule
+        n = 10_001
+        paths = small_solution.paths
+        sol = dataclasses.replace(
+            small_solution,
+            paths=SimulatedPaths(paths.params, paths.dates, paths.w[:n], paths.h[:n]),
+            wealth_T1=small_solution.wealth_T1[:n],
+            wealth_T=small_solution.wealth_T[:n],
+        )
+        sset = stopped_samples(spec, sol)
+        out = tmp_path / "out"
+        cfg = tmp_path / "merton.yaml"
+        cfg.write_text("experiment: merton\n", encoding="utf-8")
+        assert run(str(cfg), out_dir=str(out), n_paths=n, quiet=True) == 0
+        with open(out / "solution.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        csv_dates = np.array([float(row["stop_date"]) for row in rows])
+        np.testing.assert_array_equal(csv_dates, sset.dates)
+        assert int(np.sum(sset.dates == 8.0)) == (n + 1) // 2
+
+
+class TestStandardErrors:
+    def test_mean_se(self):
+        x = np.array([1.0, 2.0, 4.0, 9.0])
+        result = mean_se(x)
+        assert result.value == 4.0
+        assert result.se == pytest.approx(np.std(x, ddof=1) / 2.0, rel=1e-15)
+        assert mean_se([3.0]) == (3.0, 0.0)
+
+    def test_paired_ce_diff(self, contract, spec, small_solution):
+        sset = stopped_samples(spec, small_solution)
+        values = payoff_value(contract, sset.wealth)
+        same = paired_ce_diff(values, values, contract)
+        assert same.value == 0.0 and same.se == 0.0
+        shifted = payoff_value(contract, sset.wealth * 1.1)
+        diff = paired_ce_diff(shifted, values, contract)
+        expected = certainty_equivalent(float(np.mean(shifted)), contract) - certainty_equivalent(
+            float(np.mean(values)), contract
+        )
+        assert diff.value == expected
+        assert diff.value > 3 * diff.se > 0.0
 
 
 class TestExpectedUtility:

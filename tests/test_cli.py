@@ -9,7 +9,9 @@ import math
 import pytest
 import yaml
 
-from horizonopt.cli import EXPERIMENTS, ExperimentConfig, run
+from horizonopt import cli
+from horizonopt.cli import EXPERIMENTS, ExperimentConfig, main, run
+from horizonopt.nonconcave import InnerRootError
 
 
 def write_config(path, **overrides):
@@ -68,6 +70,33 @@ class TestRun:
         assert status != 0
         record = json.loads(captured.err)
         assert record["error"] == "invalid-config"
+
+    @pytest.mark.parametrize("form", ["yaml", "flag"])
+    def test_workers_below_one_is_invalid_config(self, tmp_path, capsys, form):
+        out = tmp_path / "out"
+        if form == "yaml":
+            cfg = write_config(tmp_path / "c.yaml", experiment="merton", workers=0)
+            status = run(cfg, out_dir=str(out))
+        else:
+            cfg = write_config(tmp_path / "c.yaml", experiment="merton")
+            status = main(["--config", cfg, "--out-dir", str(out), "--workers", "-3"])
+        assert status == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "invalid-config" and "workers" in record["message"]
+        assert not (out / "solution.csv").exists()
+
+    def test_inner_root_failure_is_machine_readable(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise InnerRootError("no sign change on the feasible multiplier interval")
+
+        monkeypatch.setattr(cli, "solve_uncertain_horizon", fail)
+        cfg = write_config(tmp_path / "c.yaml", experiment="uncertain-horizon")
+        assert run(cfg, out_dir=str(tmp_path / "out")) == 4
+        record = json.loads(capsys.readouterr().err)
+        assert record == {
+            "error": "inner-root",
+            "message": "no sign change on the feasible multiplier interval",
+        }
 
     def test_merton_summary_contains_fraction(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.yaml", experiment="merton", n_paths=20_000)

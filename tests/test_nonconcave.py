@@ -30,7 +30,7 @@ from horizonopt import (
     strategy_at,
     wealth_at,
 )
-from horizonopt.nonconcave import _InnerKernel
+from horizonopt.nonconcave import _Continuation, _InnerKernel
 
 SEED = 606
 
@@ -253,6 +253,86 @@ class TestUncertainHorizon:
         )
         with pytest.raises(ValueError, match="one interior"):
             solve_uncertain_horizon(two_dates, 10_000, seed=1)
+
+
+# theta > 0 (baseline), theta = 0 (mu = r) and theta < 0
+THETA_MARKETS = [
+    MarketParams(mu=0.08, r=0.03, sigma=0.2),
+    MarketParams(mu=0.03, r=0.03, sigma=0.2),
+    MarketParams(mu=-0.02, r=0.03, sigma=0.2),
+]
+
+
+class TestContinuation:
+    """The one priced-continuation kernel against the g_factor oracle."""
+
+    @staticmethod
+    def oracle(spec, t, nu, w, h):
+        c = spec.contract
+        q = 2.0 / 3.0
+        scale = c.participation ** (-q)
+        shift = c.guarantee / c.participation - c.threshold
+        g_q = g_factor(q, t, 12.0, spec.market, nu, c.gap_slope, w)
+        g_1 = g_factor(1.0, t, 12.0, spec.market, nu, c.gap_slope, w)
+        return scale * nu ** (-1.0 / 3.0) * h ** (-1.0 / 3.0) * g_q - shift * g_1
+
+    @staticmethod
+    def states(contract, market, t, n=400):
+        paths = simulate_paths(market, [t], n, seed=SEED + 9)
+        w, h = paths.column(t)
+        # nu h_t on both sides of the gap slope, never exactly on it (where
+        # the indicator's tie is a matter of rounding)
+        nu = contract.gap_slope / h * np.exp(np.linspace(-2.05, 0.95, n))
+        return w, h, nu
+
+    @pytest.mark.parametrize("market", THETA_MARKETS, ids=["theta>0", "theta=0", "theta<0"])
+    def test_inner_kernel_matches_oracle(self, market, contract, horizon):
+        spec = ProblemSpec(market, contract, horizon, 100.0)
+        w, h, nu = self.states(contract, market, 8.0)
+        got = _InnerKernel(spec, h, w).continuation_value(nu)
+        np.testing.assert_allclose(got, self.oracle(spec, 8.0, nu, w, h), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("market", THETA_MARKETS, ids=["theta>0", "theta=0", "theta<0"])
+    def test_wealth_at_matches_oracle(self, market, contract, horizon):
+        spec = ProblemSpec(market, contract, horizon, 100.0)
+        w, h, nu = self.states(contract, market, 10.5, n=25)
+        for w_i, h_i, nu_i in zip(w, h, nu):
+            state = PathState(t=10.5, w=float(w_i), h=float(h_i))
+            # the solution is consulted only when nu_T is not given
+            got = wealth_at(spec, None, 10.5, state, nu_T=float(nu_i))
+            expected = float(self.oracle(spec, 10.5, nu_i, w_i, h_i))
+            assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("market", THETA_MARKETS, ids=["theta>0", "theta=0", "theta<0"])
+    def test_terminal_value_is_inverse_marginal(self, market, contract, horizon):
+        spec = ProblemSpec(market, contract, horizon, 100.0)
+        w, h, nu = self.states(contract, market, 12.0)
+        got = _Continuation(spec, 12.0, 12.0, w, h).value(np.log(nu))
+        expected = inverse_marginal(contract, nu * h)
+        assert np.any(expected == 0.0) and np.any(expected > 0.0)
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("market", THETA_MARKETS, ids=["theta>0", "theta=0", "theta<0"])
+    def test_delta_is_derivative_of_value(self, market, contract, horizon):
+        # near the truncation edge, where the two density terms matter
+        spec = ProblemSpec(market, contract, horizon, 100.0)
+        w, h, nu = self.states(contract, market, 10.5)
+        log_nu, step = np.log(nu), 1e-5
+
+        def value(shift):
+            h_w = state_price_density(market, 10.5, w + shift)
+            return _Continuation(spec, 10.5, 12.0, w + shift, h_w).value(log_nu)
+
+        fd = (value(step) - value(-step)) / (2.0 * step)
+        delta = _Continuation(spec, 10.5, 12.0, w, h).delta(log_nu)
+        np.testing.assert_allclose(delta, fd, rtol=1e-6, atol=0.0)
+
+    def test_solver_at_zero_theta(self, contract, horizon):
+        flat = ProblemSpec(THETA_MARKETS[1], contract, horizon, 100.0)
+        sol = solve_uncertain_horizon(flat, 10_000, seed=SEED + 10, budget_tol=1e-3)
+        live = ~sol.zero_mask
+        assert sol.budget_residual <= 1e-3
+        assert np.nanmax(np.abs(sol.inner_residuals[live])) <= 1e-10
 
 
 class TestWealthAt:
