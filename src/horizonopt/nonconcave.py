@@ -14,7 +14,10 @@ Paths that are too expensive to support wealth above the tangency point
 receive zero wealth and the +inf multiplier sentinel.
 
 The fixed-horizon problem (no interior stopping mass) is the degenerate
-case with a deterministic terminal multiplier.
+case with a deterministic terminal multiplier. Both calibrations are one
+scalar root of a budget that decreases in the log of the multiplier,
+found by ``_log_root``: steps of log 2 to a sign change, then Brent's
+method on that step.
 """
 
 from __future__ import annotations
@@ -60,8 +63,11 @@ _INNER_ITERS_COARSE = 42
 _INNER_ITERS_FINAL = 64
 _INNER_LOG_SPAN = 69.0  # lower bracket endpoint: e^-69 ~ 1e-30 of the cap
 
-_MAX_OUTER_ITERS = 200
-_OUTER_BRACKET_RTOL = 4e-13
+# Calibration of C and of the fixed-horizon multiplier, both in log space.
+_MAX_BRACKET_STEPS = 200
+_LOG_XTOL = 4e-13
+# Per-path inner residual allowed at the final solve, relative to max(wealth, 1).
+_INNER_RESIDUAL_RTOL = 1e-10
 
 
 class ConvergenceError(RuntimeError):
@@ -118,10 +124,14 @@ class SolverSolution:
     inner_residuals: NDArray[np.float64] = field(repr=False)
     budget_estimate: float
     budget_residual: float
-    iterations: int
     bracket_history: tuple
     seed: int
     budget_tol: float
+
+    @property
+    def iterations(self) -> int:
+        """Number of budget evaluations, one inner solve each."""
+        return len(self.bracket_history)
 
     @property
     def n_paths(self) -> int:
@@ -204,13 +214,42 @@ class _Continuation:
         )
 
 
+def _log_root(f, u0: float, history: dict) -> float:
+    """Root of a function f decreasing in u = log(multiplier).
+
+    Steps by log 2 from u0, up if f(u0) > 0 and down otherwise, until f
+    changes sign, then runs Brent's method on that last step. ``f`` records
+    its evaluations in ``history`` (multiplier -> budget), which a
+    ConvergenceError carries when no sign change comes within
+    _MAX_BRACKET_STEPS steps. Brent's own iteration cap is not an error
+    here: the callers check the budget residual at the root they get.
+    """
+    up = f(u0) > 0.0
+    step = math.log(2.0) if up else -math.log(2.0)
+    u = u0
+    for _ in range(_MAX_BRACKET_STEPS):
+        u_prev, u = u, u + step
+        f_u = f(u)
+        if (f_u <= 0.0) if up else (f_u >= 0.0):
+            lo, hi = sorted((u_prev, u))
+            # brentq wraps its function in a self-referencing closure that
+            # lives until the cyclic collector runs; passing f as an argument
+            # keeps the caller's per-path arrays out of that cycle.
+            return brentq(lambda v, g: g(v), lo, hi, args=(f,), xtol=_LOG_XTOL, disp=False)
+    raise ConvergenceError(
+        f"budget has no sign change within {_MAX_BRACKET_STEPS} steps of log 2 "
+        f"from the multiplier {math.exp(u0)!r}",
+        history.items(),
+    )
+
+
 def solve_fixed_horizon(spec: ProblemSpec, horizon: float | None = None) -> FixedHorizonSolution:
     """Deterministic terminal multiplier matching the initial capital.
 
     Requires a horizon with no interior stopping mass (or an explicit
     horizon date). The budget, the time-0 price of the optimal terminal
-    claim, is strictly decreasing in the multiplier, so the root is
-    bracketed by doubling and polished with Brent's method in log nu.
+    claim, is strictly decreasing in the multiplier; ``_log_root`` finds
+    its root in log nu from the Merton multiplier of the same capital.
     """
     if horizon is None:
         if spec.horizon.dates:
@@ -221,37 +260,14 @@ def solve_fixed_horizon(spec: ProblemSpec, horizon: float | None = None) -> Fixe
         horizon = spec.horizon.terminal
     claim = _Continuation(spec, 0.0, horizon, 0.0, 1.0)
     x0 = spec.x0
+    history: dict[float, float] = {}
 
-    def budget(nu: float) -> float:
-        return float(claim.value(math.log(nu)))
+    def excess(log_nu: float) -> float:
+        history[math.exp(log_nu)] = value = float(claim.value(log_nu))
+        return value - x0
 
-    nu = float((x0 / claim.f_q) ** (-claim.gamma))
-    lo = hi = nu
-    for _ in range(400):
-        if budget(lo) >= x0:
-            break
-        lo /= 4.0
-    else:
-        raise ConvergenceError("fixed-horizon budget bracketing failed (low side)", [])
-    for _ in range(400):
-        if budget(hi) <= x0:
-            break
-        hi *= 4.0
-    else:
-        raise ConvergenceError("fixed-horizon budget bracketing failed (high side)", [])
-    if lo == hi:
-        root = lo
-    else:
-        root = math.exp(
-            brentq(
-                lambda u: float(claim.value(u)) - x0,
-                math.log(lo),
-                math.log(hi),
-                xtol=1e-14,
-                rtol=8.9e-16,
-            )
-        )
-    residual = abs(budget(root) - x0) / x0
+    root = math.exp(_log_root(excess, -claim.gamma * math.log(x0 / claim.f_q), history))
+    residual = abs(float(claim.value(math.log(root))) - x0) / x0
     if residual > 1e-10:
         raise ConvergenceError(
             f"fixed-horizon budget residual {residual:.3e} above 1e-10", [(root, residual)]
@@ -373,10 +389,13 @@ def solve_uncertain_horizon(
     """Calibrate the multiplier constant C against the Monte-Carlo budget.
 
     The budget estimate mean(H_T1 * wealth_T1) is monotone decreasing in C
-    (larger multipliers buy less wealth), so C is bracketed by doubling or
-    halving from the fixed-horizon multiplier and then bisected until the
-    bracket collapses. The reported residual must end up within budget_tol
-    or a ConvergenceError with the full evaluation history is raised.
+    (larger multipliers buy less wealth), so ``_log_root`` finds its root in
+    log C from the fixed-horizon multiplier, to 4e-13 in log C. Each
+    distinct C costs one inner solve and one entry of ``bracket_history``.
+    The reported residual must end up within budget_tol or a
+    ConvergenceError with the full evaluation history is raised. A final
+    per-path inner residual above 1e-10 max(wealth_T1, 1) on a path with
+    positive wealth raises InnerRootError.
 
     Common random numbers: the same path draws are reused for every C, so
     the budget function is deterministic and free of cross-iteration noise.
@@ -402,52 +421,33 @@ def solve_uncertain_horizon(
 
     kernel = _InnerKernel(spec, h_T1, w_T1)
     x0 = spec.x0
-    history: list[tuple[float, float]] = []
+    history: dict[float, float] = {}
 
-    def budget(C: float) -> float:
-        value = kernel.budget(C)
-        history.append((C, value))
-        return value
+    def excess(log_c: float) -> float:
+        C = math.exp(log_c)
+        if C not in history:
+            history[C] = kernel.budget(C)
+        return history[C] - x0
 
     c_init = solve_fixed_horizon(spec, horizon=T).nu
-    b_init = budget(c_init)
-    lo = hi = c_init
-    if b_init > x0:
-        for _ in range(_MAX_OUTER_ITERS):
-            hi *= 2.0
-            if budget(hi) <= x0:
-                break
-        else:
-            raise ConvergenceError("budget bracketing failed (high side)", history)
-    elif b_init < x0:
-        for _ in range(_MAX_OUTER_ITERS):
-            lo /= 2.0
-            if budget(lo) >= x0:
-                break
-        else:
-            raise ConvergenceError("budget bracketing failed (low side)", history)
-
-    iterations = len(history)
-    while hi - lo > _OUTER_BRACKET_RTOL * hi and iterations < _MAX_OUTER_ITERS:
-        mid = 0.5 * (lo + hi)
-        if budget(mid) >= x0:
-            lo = mid
-        else:
-            hi = mid
-        iterations += 1
-
-    c_star = 0.5 * (lo + hi)
+    c_star = math.exp(_log_root(excess, math.log(c_init), history))
     nu_T1, nu_T, wealth_T1, residuals, zero = kernel.solve(c_star, _INNER_ITERS_FINAL)
+    residuals = np.where(zero, np.nan, residuals)
+    off = ~zero & ~(np.abs(residuals) <= _INNER_RESIDUAL_RTOL * np.maximum(wealth_T1, 1.0))
+    if np.any(off):
+        raise InnerRootError(
+            f"inner residual above {_INNER_RESIDUAL_RTOL:.0e} max(wealth, 1) on "
+            f"{int(off.sum())} of {n_paths} paths at C={c_star!r}"
+        )
     wealth_T = inverse_marginal(spec.contract, nu_T * h_T)
     budget_estimate = float(np.mean(h_T1 * wealth_T1))
     budget_residual = abs(budget_estimate - x0) / x0
     if budget_residual > budget_tol:
         raise ConvergenceError(
             f"budget residual {budget_residual:.3e} above tolerance {budget_tol:.1e} "
-            f"after {iterations} iterations",
-            history,
+            f"after {len(history)} budget evaluations",
+            history.items(),
         )
-    residuals = np.where(zero, np.nan, residuals)
 
     return SolverSolution(
         spec=spec,
@@ -460,8 +460,7 @@ def solve_uncertain_horizon(
         inner_residuals=residuals,
         budget_estimate=budget_estimate,
         budget_residual=budget_residual,
-        iterations=iterations,
-        bracket_history=tuple(history),
+        bracket_history=tuple(history.items()),
         seed=seed,
         budget_tol=budget_tol,
     )

@@ -98,6 +98,23 @@ class TestRun:
             "message": "no sign change on the feasible multiplier interval",
         }
 
+    def test_unresolved_inner_root_exits_four(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "c.yaml", market={"mu": 0.5, "r": 0.03, "sigma": 0.1}, n_paths=10_000, seed=1
+        )
+        out = tmp_path / "out"
+        assert run(cfg, out_dir=str(out)) == 4
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "inner-root" and "inner residual" in record["message"]
+        assert not (out / "solution.csv").exists()
+
+    def test_non_convergence_is_machine_readable(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.yaml", x0=5.0, budget_tol=1e-4, n_paths=10_000, seed=1)
+        assert run(cfg, out_dir=str(tmp_path / "out")) == 3
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "non-convergence" and "budget residual" in record["message"]
+        assert record["history"] and all(len(entry) == 2 for entry in record["history"])
+
     def test_merton_summary_contains_fraction(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.yaml", experiment="merton", n_paths=20_000)
         out = tmp_path / "out"

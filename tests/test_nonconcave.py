@@ -7,6 +7,7 @@ solver as the limit oracle for vanishing stopping probability.
 
 from __future__ import annotations
 
+import gc
 import math
 
 import numpy as np
@@ -30,7 +31,13 @@ from horizonopt import (
     strategy_at,
     wealth_at,
 )
-from horizonopt.nonconcave import _Continuation, _InnerKernel
+from horizonopt.nonconcave import (
+    ConvergenceError,
+    InnerRootError,
+    _Continuation,
+    _InnerKernel,
+    _log_root,
+)
 
 SEED = 606
 
@@ -253,6 +260,75 @@ class TestUncertainHorizon:
         )
         with pytest.raises(ValueError, match="one interior"):
             solve_uncertain_horizon(two_dates, 10_000, seed=1)
+
+
+class TestCalibration:
+    """Checks of the calibrated C that hold for any bracketing root finder."""
+
+    @pytest.mark.parametrize("x0, n_paths, seed", [(100.0, 10_000, 1), (40.0, 20_000, SEED + 4)])
+    def test_budget_changes_sign_at_c_star(self, market, contract, horizon, x0, n_paths, seed):
+        # baseline, and test_zero_branch_instance's problem
+        spec = ProblemSpec(market, contract, horizon, x0)
+        sol = solve_uncertain_horizon(spec, n_paths, seed=seed)
+        kernel = _InnerKernel(spec, sol.h_T1, sol.w_T1)
+        assert kernel.budget(sol.c_star * (1 - 1e-9)) >= x0 >= kernel.budget(sol.c_star * (1 + 1e-9))
+        constants = [c for c, _ in sol.bracket_history]
+        assert len(set(constants)) == len(constants) == sol.iterations
+
+    def test_baseline_needs_few_budget_evaluations(self, spec):
+        sol = solve_uncertain_horizon(spec, 10_000, seed=1)
+        assert len(sol.bracket_history) <= 10
+
+    def test_no_reference_cycle_keeps_the_inner_kernel(self, spec):
+        # garbage in a cycle waits for the collector, and the kernel holds
+        # per-path arrays; with the collector off none may be left behind
+        def kernels():
+            return sum(isinstance(o, _InnerKernel) for o in gc.get_objects())
+
+        gc.collect()
+        gc.disable()
+        try:
+            before = kernels()
+            solve_uncertain_horizon(spec, 10_000, seed=1)
+            after = kernels()
+        finally:
+            gc.enable()
+        assert after == before
+
+    def test_log_root_brackets_from_either_side(self):
+        for u0 in (-20.0, 3.0, 40.0):
+            history = {}
+
+            def f(u):
+                history[math.exp(u)] = 3.0 - u
+                return 3.0 - u
+
+            assert abs(_log_root(f, u0, history) - 3.0) <= 1e-12
+
+    def test_log_root_without_sign_change_raises(self):
+        history = {}
+
+        def f(u):
+            history[math.exp(u)] = value = math.exp(-u)
+            return value
+
+        with pytest.raises(ConvergenceError, match="no sign change") as info:
+            _log_root(f, 0.0, history)
+        assert info.value.history == tuple(history.items()) and len(history) > 1
+
+    def test_low_capital_budget_step_raises_with_history(self, market, contract, horizon):
+        # the budget's step at the marginal path is wider than budget_tol
+        spec = ProblemSpec(market, contract, horizon, 5.0)
+        with pytest.raises(ConvergenceError, match="budget residual") as info:
+            solve_uncertain_horizon(spec, 10_000, seed=1, budget_tol=1e-4)
+        history = info.value.history
+        assert history and all(c > 0.0 and b >= 0.0 for c, b in history)
+
+    def test_unresolved_inner_root_raises(self, contract, horizon):
+        # theta = 4.7: the per-path root is not resolved near the cap C/p
+        spec = ProblemSpec(MarketParams(mu=0.5, r=0.03, sigma=0.1), contract, horizon, 100.0)
+        with pytest.raises(InnerRootError, match="inner residual"):
+            solve_uncertain_horizon(spec, 10_000, seed=1)
 
 
 # theta > 0 (baseline), theta = 0 (mu = r) and theta < 0
