@@ -16,8 +16,8 @@ receive zero wealth and the +inf multiplier sentinel.
 The fixed-horizon problem (no interior stopping mass) is the degenerate
 case with a deterministic terminal multiplier. Both calibrations are one
 scalar root of a budget that decreases in the log of the multiplier,
-found by ``_log_root``: steps of log 2 to a sign change, then Brent's
-method on that step.
+found by ``_roots.log_root``: steps of log 2 to a sign change, then
+Chandrupatla's method on that step.
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.optimize import brentq
 from scipy.special import ndtr
 
+from ._roots import ConvergenceError, log_root, root
 from .market import (
     HorizonDistribution,
     MarketParams,
@@ -56,26 +56,11 @@ __all__ = [
     "strategy_at",
 ]
 
-# Bisection sweeps for the per-path implicit multiplier equation. The root
-# is refined in log space; 64 halvings reach the resolution limit of double
-# precision, the coarse count is enough for intermediate budget evaluations.
-_INNER_ITERS_COARSE = 42
-_INNER_ITERS_FINAL = 64
 _INNER_LOG_SPAN = 69.0  # lower bracket endpoint: e^-69 ~ 1e-30 of the cap
-
 # Calibration of C and of the fixed-horizon multiplier, both in log space.
-_MAX_BRACKET_STEPS = 200
 _LOG_XTOL = 4e-13
 # Per-path inner residual allowed at the final solve, relative to max(wealth, 1).
 _INNER_RESIDUAL_RTOL = 1e-10
-
-
-class ConvergenceError(RuntimeError):
-    """Outer calibration failed; carries the (C, budget) evaluation history."""
-
-    def __init__(self, message: str, history):
-        super().__init__(message)
-        self.history = tuple(history)
 
 
 class InnerRootError(RuntimeError):
@@ -214,42 +199,13 @@ class _Continuation:
         )
 
 
-def _log_root(f, u0: float, history: dict) -> float:
-    """Root of a function f decreasing in u = log(multiplier).
-
-    Steps by log 2 from u0, up if f(u0) > 0 and down otherwise, until f
-    changes sign, then runs Brent's method on that last step. ``f`` records
-    its evaluations in ``history`` (multiplier -> budget), which a
-    ConvergenceError carries when no sign change comes within
-    _MAX_BRACKET_STEPS steps. Brent's own iteration cap is not an error
-    here: the callers check the budget residual at the root they get.
-    """
-    up = f(u0) > 0.0
-    step = math.log(2.0) if up else -math.log(2.0)
-    u = u0
-    for _ in range(_MAX_BRACKET_STEPS):
-        u_prev, u = u, u + step
-        f_u = f(u)
-        if (f_u <= 0.0) if up else (f_u >= 0.0):
-            lo, hi = sorted((u_prev, u))
-            # brentq wraps its function in a self-referencing closure that
-            # lives until the cyclic collector runs; passing f as an argument
-            # keeps the caller's per-path arrays out of that cycle.
-            return brentq(lambda v, g: g(v), lo, hi, args=(f,), xtol=_LOG_XTOL, disp=False)
-    raise ConvergenceError(
-        f"budget has no sign change within {_MAX_BRACKET_STEPS} steps of log 2 "
-        f"from the multiplier {math.exp(u0)!r}",
-        history.items(),
-    )
-
-
 def solve_fixed_horizon(spec: ProblemSpec, horizon: float | None = None) -> FixedHorizonSolution:
     """Deterministic terminal multiplier matching the initial capital.
 
     Requires a horizon with no interior stopping mass (or an explicit
     horizon date). The budget, the time-0 price of the optimal terminal
-    claim, is strictly decreasing in the multiplier; ``_log_root`` finds
-    its root in log nu from the Merton multiplier of the same capital.
+    claim, is strictly decreasing in the multiplier; ``log_root`` finds its
+    root in log nu from the Merton multiplier of the same capital.
     """
     if horizon is None:
         if spec.horizon.dates:
@@ -260,19 +216,14 @@ def solve_fixed_horizon(spec: ProblemSpec, horizon: float | None = None) -> Fixe
         horizon = spec.horizon.terminal
     claim = _Continuation(spec, 0.0, horizon, 0.0, 1.0)
     x0 = spec.x0
-    history: dict[float, float] = {}
-
-    def excess(log_nu: float) -> float:
-        history[math.exp(log_nu)] = value = float(claim.value(log_nu))
-        return value - x0
-
-    root = math.exp(_log_root(excess, -claim.gamma * math.log(x0 / claim.f_q), history))
-    residual = abs(float(claim.value(math.log(root))) - x0) / x0
+    u0 = -claim.gamma * math.log(x0 / claim.f_q)  # log of the Merton multiplier
+    nu = math.exp(log_root(lambda u: float(claim.value(u)), u0, x0, _LOG_XTOL)[0])
+    residual = abs(float(claim.value(math.log(nu))) - x0) / x0
     if residual > 1e-10:
         raise ConvergenceError(
-            f"fixed-horizon budget residual {residual:.3e} above 1e-10", [(root, residual)]
+            f"fixed-horizon budget residual {residual:.3e} above 1e-10", [(nu, residual)]
         )
-    return FixedHorizonSolution(nu=float(root), budget_residual=residual, horizon=horizon)
+    return FixedHorizonSolution(nu=nu, budget_residual=residual, horizon=horizon)
 
 
 def _two_date_horizon(spec: ProblemSpec) -> tuple[float, float, float]:
@@ -293,10 +244,10 @@ class _InnerKernel:
 
         F(x) = wealth-from-subdifferential(x H_T1) - priced continuation(nu_T(x))
 
-    is strictly decreasing with F(0+) = +inf and F((C/p)-) = -inf, so log
-    bisection always brackets the unique root. A root with x H_T1 above
-    the envelope slope at the tangency point is inconsistent with positive
-    wealth: that path takes the zero-wealth branch.
+    is strictly decreasing with F(0+) = +inf and F((C/p)-) = -inf, so
+    ``root`` refines a bracket in log x to the unique root. A root with
+    x H_T1 above the envelope slope at the tangency point is inconsistent
+    with positive wealth: that path takes the zero-wealth branch.
     """
 
     def __init__(self, spec: ProblemSpec, h_T1, w_T1):
@@ -316,31 +267,22 @@ class _InnerKernel:
         stop_wealth = claim.scale * np.exp(-log_x / claim.gamma) * claim.h_pow - claim.shift
         return stop_wealth - claim.value(log_nu_T)
 
-    def solve(self, C: float, iters: int):
+    def solve(self, C: float):
         """Per-path root, zero-branch detection, wealth and residuals."""
         if not (C > 0.0):
             raise ValueError(f"multiplier constant must be positive, got {C}")
         cap = math.log(C / self.p)
-        n = self.h_T1.shape[0]
-        lo = np.full(n, cap - _INNER_LOG_SPAN)
-        hi = np.full(n, cap + math.log1p(-1e-13))
-
+        lo, hi = cap - _INNER_LOG_SPAN, cap + math.log1p(-1e-13)
         f_lo = self.residual(lo, C)
         f_hi = self.residual(hi, C)
         bad = (f_lo <= 0.0) | (f_hi >= 0.0)
         if np.any(bad):
             raise InnerRootError(
                 f"no sign change on the feasible multiplier interval for "
-                f"{int(bad.sum())} of {n} paths at C={C!r}"
+                f"{int(bad.sum())} of {bad.size} paths at C={C!r}"
             )
 
-        for _ in range(iters):
-            mid = 0.5 * (lo + hi)
-            positive = self.residual(mid, C) > 0.0
-            lo = np.where(positive, mid, lo)
-            hi = np.where(positive, hi, mid)
-
-        log_x = 0.5 * (lo + hi)
+        log_x = root(lambda u: self.residual(u, C), lo, hi, f_lo, f_hi)
         x = np.exp(log_x)
         nu_T = (C - self.p * x) / (1.0 - self.p)
         residuals = self.residual(log_x, C)
@@ -351,8 +293,8 @@ class _InnerKernel:
         wealth = inverse_marginal(self.spec.contract, nu_T1_out * self.h_T1)
         return nu_T1_out, nu_T_out, wealth, residuals, zero
 
-    def budget(self, C: float, iters: int = _INNER_ITERS_COARSE) -> float:
-        _, _, wealth, _, _ = self.solve(C, iters)
+    def budget(self, C: float) -> float:
+        _, _, wealth, _, _ = self.solve(C)
         return float(np.mean(self.h_T1 * wealth))
 
 
@@ -372,7 +314,7 @@ def solve_inner_nu_T(h_T1, w_T1, C: float, spec: ProblemSpec):
     if not np.allclose(h_arr, expected, rtol=1e-12, atol=0.0):
         raise ValueError("h_T1 inconsistent with w_T1 under the market parameters")
     kernel = _InnerKernel(spec, h_arr, w_arr)
-    _, nu_T, _, _, _ = kernel.solve(C, _INNER_ITERS_FINAL)
+    _, nu_T, _, _, _ = kernel.solve(C)
     if np.isscalar(h_T1) or np.asarray(h_T1).ndim == 0:
         return float(nu_T[0])
     return nu_T
@@ -389,7 +331,7 @@ def solve_uncertain_horizon(
     """Calibrate the multiplier constant C against the Monte-Carlo budget.
 
     The budget estimate mean(H_T1 * wealth_T1) is monotone decreasing in C
-    (larger multipliers buy less wealth), so ``_log_root`` finds its root in
+    (larger multipliers buy less wealth), so ``log_root`` finds its root in
     log C from the fixed-horizon multiplier, to 4e-13 in log C. Each
     distinct C costs one inner solve and one entry of ``bracket_history``.
     The reported residual must end up within budget_tol or a
@@ -421,17 +363,10 @@ def solve_uncertain_horizon(
 
     kernel = _InnerKernel(spec, h_T1, w_T1)
     x0 = spec.x0
-    history: dict[float, float] = {}
-
-    def excess(log_c: float) -> float:
-        C = math.exp(log_c)
-        if C not in history:
-            history[C] = kernel.budget(C)
-        return history[C] - x0
-
     c_init = solve_fixed_horizon(spec, horizon=T).nu
-    c_star = math.exp(_log_root(excess, math.log(c_init), history))
-    nu_T1, nu_T, wealth_T1, residuals, zero = kernel.solve(c_star, _INNER_ITERS_FINAL)
+    log_c, history = log_root(lambda u: kernel.budget(math.exp(u)), math.log(c_init), x0, _LOG_XTOL)
+    c_star = math.exp(log_c)
+    nu_T1, nu_T, wealth_T1, residuals, zero = kernel.solve(c_star)
     residuals = np.where(zero, np.nan, residuals)
     off = ~zero & ~(np.abs(residuals) <= _INNER_RESIDUAL_RTOL * np.maximum(wealth_T1, 1.0))
     if np.any(off):
@@ -446,7 +381,7 @@ def solve_uncertain_horizon(
         raise ConvergenceError(
             f"budget residual {budget_residual:.3e} above tolerance {budget_tol:.1e} "
             f"after {len(history)} budget evaluations",
-            history.items(),
+            history,
         )
 
     return SolverSolution(
@@ -460,7 +395,7 @@ def solve_uncertain_horizon(
         inner_residuals=residuals,
         budget_estimate=budget_estimate,
         budget_residual=budget_residual,
-        bracket_history=tuple(history.items()),
+        bracket_history=history,
         seed=seed,
         budget_tol=budget_tol,
     )

@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
+
+from ._roots import log_root
 
 __all__ = [
     "PowerUtility",
@@ -72,31 +73,26 @@ class Interval(NamedTuple):
     upper: float
 
 
-def _tangency_residual(x: float, base: PowerUtility, alpha: float, b: float, k: float) -> float:
-    # u(x) - u(0) - u'(x) x with the right-branch derivative; vanishes at the
-    # wealth where the chord from (0, u(0)) touches u.
-    z = alpha * (x - b) + k
-    return float(base.value(z) - base.value(k) - alpha * base.marginal(z) * x)
-
-
 def _solve_tangency(base: PowerUtility, alpha: float, b: float, k: float) -> float:
+    def residual(x: float) -> float:
+        # u(x) - u(0) - u'(x) x with the right-branch derivative; vanishes at
+        # the wealth where the chord from (0, u(0)) touches u.
+        z = alpha * (x - b) + k
+        return float(base.value(z) - base.value(k) - alpha * base.marginal(z) * x)
+
     lo = b * (1.0 + 1e-9) if b > 0 else 1e-12
-    if _tangency_residual(lo, base, alpha, b, k) >= 0.0:
+    if residual(lo) >= 0.0:
         # Chord already touches at the kink; degenerate contract.
         return lo
-    hi = max(2.0 * b, 1.0)
-    for _ in range(200):
-        if _tangency_residual(hi, base, alpha, b, k) > 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise ValueError(
-            "tangency bracketing failed: no sign change above the participation "
-            f"threshold (alpha={alpha}, B={b}, K={k}, gamma={base.gamma})"
-        )
-    return float(
-        brentq(_tangency_residual, lo, hi, args=(base, alpha, b, k), xtol=1e-300, rtol=8.9e-16)
-    )
+    log_x, _ = log_root(lambda v: -residual(math.exp(v)), math.log(lo), 0.0)
+    # The largest double with residual <= 0: the chord with slope u'(x_hat)
+    # then lies on or above u at x_hat, and so on all of [0, x_hat].
+    x = math.exp(log_x)
+    while residual(x) > 0.0:
+        x = math.nextafter(x, 0.0)
+    while residual(up := math.nextafter(x, math.inf)) <= 0.0:
+        x = up
+    return x
 
 
 @dataclass(frozen=True)

@@ -31,12 +31,12 @@ from horizonopt import (
     strategy_at,
     wealth_at,
 )
+from horizonopt._roots import log_root
 from horizonopt.nonconcave import (
     ConvergenceError,
     InnerRootError,
     _Continuation,
     _InnerKernel,
-    _log_root,
 )
 
 SEED = 606
@@ -297,24 +297,19 @@ class TestCalibration:
 
     def test_log_root_brackets_from_either_side(self):
         for u0 in (-20.0, 3.0, 40.0):
-            history = {}
-
-            def f(u):
-                history[math.exp(u)] = 3.0 - u
-                return 3.0 - u
-
-            assert abs(_log_root(f, u0, history) - 3.0) <= 1e-12
+            u, _ = log_root(lambda u: 5.0 - u, u0, 2.0)
+            assert abs(u - 3.0) <= 1e-12
 
     def test_log_root_without_sign_change_raises(self):
-        history = {}
+        calls = []
 
-        def f(u):
-            history[math.exp(u)] = value = math.exp(-u)
-            return value
+        def value(u):
+            calls.append((math.exp(u), math.exp(-u)))
+            return calls[-1][1]
 
         with pytest.raises(ConvergenceError, match="no sign change") as info:
-            _log_root(f, 0.0, history)
-        assert info.value.history == tuple(history.items()) and len(history) > 1
+            log_root(value, 0.0, 0.0)
+        assert info.value.history == tuple(calls) and len(calls) > 1
 
     def test_low_capital_budget_step_raises_with_history(self, market, contract, horizon):
         # the budget's step at the marginal path is wider than budget_tol

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from horizonopt import (
@@ -164,6 +164,8 @@ class TestEnvelope:
 
     @settings(max_examples=60, deadline=None)
     @given(params=contract_params, frac=st.floats(0.0, 4.0))
+    # a tangency root on the wrong side of the rounding noise put the chord below u at x_hat
+    @example(params=(5.0, 1.0, 1.0, 0.109375), frac=1.0)
     def test_dominance_random(self, params, frac):
         c = make_contract(*params)
         x = frac * c.x_hat
