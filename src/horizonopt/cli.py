@@ -11,15 +11,16 @@ experiments
     figure1-sweep     mean-preserving horizon spreads at fixed E[tau]
     figure2-sweep     stopping-probability sweep at fixed dates
 
-and writes solution.csv / summary.csv (sweep.csv for sweeps) with numbers
-serialized to 12 significant digits. Identical config and seed give byte
-identical files for any worker count.
+and writes solution.csv / summary.csv (sweep.csv for sweeps). Each column
+has one format, chosen from its dtype: floats to 12 significant digits,
+everything else (integers, the experiment name) as ``str``; nothing is
+quoted. Identical config and seed give byte identical files for any
+worker count.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -51,14 +52,6 @@ from .nonconcave import (
 from .payoff import ContractUtility, PowerUtility, inverse_marginal, payoff_value
 
 __all__ = ["ExperimentConfig", "run", "main"]
-
-EXPERIMENTS = (
-    "merton",
-    "fixed-horizon",
-    "uncertain-horizon",
-    "figure1-sweep",
-    "figure2-sweep",
-)
 
 OUT_DIR_ENV = "HORIZONOPT_OUT_DIR"
 
@@ -136,15 +129,19 @@ class ExperimentConfig:
                 probs=data["horizon"]["probs"],
                 terminal=data["horizon"]["terminal"],
             )
-        except ValueError as exc:
+            n_paths = int(data["n_paths"])
+            x0 = float(data["x0"])
+            workers = int(data["workers"])
+            seed = int(data["seed"])
+            budget_tol = float(data["budget_tol"])
+            spread_grid = tuple(float(d) for d in data["sweep"]["spread_grid"])
+            prob_grid = tuple(float(p) for p in data["sweep"]["prob_grid"])
+        except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
-        n_paths = int(data["n_paths"])
         if n_paths < 1:
             raise ConfigError("n_paths must be positive")
-        x0 = float(data["x0"])
         if x0 <= 0:
             raise ConfigError("x0 must be positive")
-        workers = int(data["workers"])
         if workers < 1:
             raise ConfigError(f"workers must be at least 1, got {workers}")
         return cls(
@@ -154,11 +151,11 @@ class ExperimentConfig:
             horizon=horizon,
             x0=x0,
             n_paths=n_paths,
-            seed=int(data["seed"]),
-            budget_tol=float(data["budget_tol"]),
+            seed=seed,
+            budget_tol=budget_tol,
             workers=workers,
-            spread_grid=tuple(float(d) for d in data["sweep"]["spread_grid"]),
-            prob_grid=tuple(float(p) for p in data["sweep"]["prob_grid"]),
+            spread_grid=spread_grid,
+            prob_grid=prob_grid,
         )
 
 
@@ -172,22 +169,17 @@ def _read_yaml(path: str | Path) -> dict:
     return raw
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return "%.12g" % float(value)
-    return str(value)
+def _write_csv(path: Path, header: list[str], columns) -> None:
+    """Write one sequence per column; a one-row table passes ``zip(row)``.
 
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
+    Float columns print as ``%.12g`` and all others as ``%s``. No cell is
+    quoted: the only strings are experiment names and headers.
+    """
+    columns = [np.asarray(c) for c in columns]
+    row = ",".join("%.12g" if c.dtype.kind == "f" else "%s" for c in columns) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_MINIMAL)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        fh.write(",".join(header) + "\n")
+        fh.writelines(row % values for values in zip(*columns))
 
 
 def _run_merton(cfg: ExperimentConfig, out: Path) -> str:
@@ -211,7 +203,7 @@ def _run_merton(cfg: ExperimentConfig, out: Path) -> str:
     _write_csv(
         out / "solution.csv",
         ["path", "stop_date", "w", "h", "nu", "wealth"],
-        zip(range(cfg.n_paths), dates, w, h, nu_path, wealth),
+        [np.arange(cfg.n_paths), dates, w, h, nu_path, wealth],
     )
     _write_csv(
         out / "summary.csv",
@@ -219,7 +211,7 @@ def _run_merton(cfg: ExperimentConfig, out: Path) -> str:
             "experiment", "n_paths", "seed", "fraction",
             "mc_budget", "mc_budget_se", "eu", "eu_se", "ce",
         ],
-        [["merton", cfg.n_paths, cfg.seed, sol.fraction, budget, budget_se, eu, eu_se, ce]],
+        zip(["merton", cfg.n_paths, cfg.seed, sol.fraction, budget, budget_se, eu, eu_se, ce]),
     )
     return f"merton: fraction={sol.fraction:.6f} mc_budget={budget:.4f} (se {budget_se:.4f})"
 
@@ -238,7 +230,10 @@ def _run_fixed(cfg: ExperimentConfig, out: Path) -> str:
     _write_csv(
         out / "solution.csv",
         ["path", "stop_date", "w", "h", "nu", "wealth"],
-        zip(range(cfg.n_paths), [horizon] * cfg.n_paths, w, h, [fixed.nu] * cfg.n_paths, wealth),
+        [
+            np.arange(cfg.n_paths), np.full(cfg.n_paths, horizon), w, h,
+            np.full(cfg.n_paths, fixed.nu), wealth,
+        ],
     )
     _write_csv(
         out / "summary.csv",
@@ -246,10 +241,10 @@ def _run_fixed(cfg: ExperimentConfig, out: Path) -> str:
             "experiment", "n_paths", "seed", "horizon", "nu",
             "budget_residual", "eu", "eu_se", "ce", "variance",
         ],
-        [[
+        zip([
             "fixed-horizon", cfg.n_paths, cfg.seed, horizon, fixed.nu,
             fixed.budget_residual, eu, eu_se, ce, var,
-        ]],
+        ]),
     )
     return f"fixed-horizon(T={horizon:g}): nu={fixed.nu:.6e} ce={ce:.4f}"
 
@@ -261,24 +256,21 @@ def _run_uncertain(cfg: ExperimentConfig, out: Path) -> str:
     )
     sset = stopped_samples(spec, sol)
     comparison = compare_to_fixed(spec, sol, cfg.t_tilde)
-    eu = expected_utility(sset, cfg.contract)
-    var = stopped_variance(sset)
-    ce = certainty_equivalent(eu.value, cfg.contract)
+    eu, var, ce = comparison.eu_uncertain, comparison.var_uncertain, comparison.ce_uncertain
     zero_fraction = float(sol.zero_mask.mean())
 
     t1 = cfg.horizon.dates[0]
     T = cfg.horizon.terminal
-    stopped_wealth = sset.wealth
     _write_csv(
         out / "solution.csv",
         [
             "path", "w_t1", "h_t1", "nu_t1", "nu_t",
             "wealth_t1", "wealth_t", "stop_date", "stopped_wealth",
         ],
-        zip(
-            range(cfg.n_paths), sol.w_T1, sol.h_T1, sol.nu_T1, sol.nu_T,
-            sol.wealth_T1, sol.wealth_T, sset.dates, stopped_wealth,
-        ),
+        [
+            np.arange(cfg.n_paths), sol.w_T1, sol.h_T1, sol.nu_T1, sol.nu_T,
+            sol.wealth_T1, sol.wealth_T, sset.dates, sset.wealth,
+        ],
     )
     _write_csv(
         out / "summary.csv",
@@ -289,14 +281,14 @@ def _run_uncertain(cfg: ExperimentConfig, out: Path) -> str:
             "ce_fixed", "ce_diff", "ce_diff_se",
             "var_fixed", "var_diff", "var_diff_se",
         ],
-        [[
+        zip([
             "uncertain-horizon", cfg.n_paths, cfg.seed, t1, T,
             cfg.horizon.probs[0], cfg.x0,
             sol.c_star, sol.iterations, sol.budget_estimate, sol.budget_residual,
             zero_fraction, eu.value, eu.se, ce, var.value, var.se,
             comparison.ce_fixed, comparison.ce_diff, comparison.ce_diff_se,
             comparison.var_fixed.value, comparison.var_diff, comparison.var_diff_se,
-        ]],
+        ]),
     )
     return (
         f"uncertain-horizon: C={sol.c_star:.6e} budget_residual={sol.budget_residual:.2e} "
@@ -333,12 +325,16 @@ def _run_figure1(cfg: ExperimentConfig, out: Path) -> str:
             "variance", "variance_se", "var_fixed", "var_diff", "var_diff_se",
             "ce", "ce_fixed", "ce_diff", "ce_diff_se",
         ],
-        rows,
+        zip(*rows),
     )
     return f"figure1-sweep: {len(rows)} spreads around E[tau]={t_tilde:g}"
 
 
 def _run_figure2(cfg: ExperimentConfig, out: Path) -> str:
+    if len(cfg.horizon.dates) != 1:
+        raise ConfigError(
+            f"figure2-sweep needs exactly one interior stopping date, got {cfg.horizon.dates}"
+        )
     t1 = cfg.horizon.dates[0]
     T = cfg.horizon.terminal
     paths = simulate_paths(cfg.market, [t1, T], cfg.n_paths, cfg.seed, n_workers=cfg.workers)
@@ -370,7 +366,7 @@ def _run_figure2(cfg: ExperimentConfig, out: Path) -> str:
             "p1", "c_star", "budget_residual", "eu", "eu_se",
             "ce", "variance", "variance_se", "ce_step", "ce_step_se",
         ],
-        rows,
+        zip(*rows),
     )
     return f"figure2-sweep: {len(rows)} stopping probabilities on ({t1:g}, {T:g})"
 
@@ -382,6 +378,7 @@ _RUNNERS = {
     "figure1-sweep": _run_figure1,
     "figure2-sweep": _run_figure2,
 }
+EXPERIMENTS = tuple(_RUNNERS)
 
 
 def run(

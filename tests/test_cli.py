@@ -6,6 +6,7 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 import yaml
 
@@ -70,6 +71,41 @@ class TestRun:
         assert status != 0
         record = json.loads(captured.err)
         assert record["error"] == "invalid-config"
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"horizon": {"dates": 8.0, "probs": 0.5}},
+            {"sweep": {"prob_grid": 0.5}},
+            {"market": {"mu": None}},
+            {"contract": {"gamma": [3.0]}},
+            {"n_paths": None},
+        ],
+        ids=["scalar-dates", "scalar-grid", "null-mu", "list-gamma", "null-paths"],
+    )
+    def test_wrong_type_is_invalid_config(self, tmp_path, capsys, overrides):
+        cfg = write_config(tmp_path / "c.yaml", experiment="merton", **overrides)
+        assert run(cfg, out_dir=str(tmp_path / "out")) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "invalid-config"
+
+    @pytest.mark.parametrize(
+        "horizon",
+        [{"dates": [], "probs": []}, {"dates": [4.0, 8.0], "probs": [0.2, 0.3]}],
+        ids=["no-date", "two-dates"],
+    )
+    def test_figure2_needs_one_interior_date(self, tmp_path, capsys, horizon):
+        cfg = write_config(
+            tmp_path / "c.yaml",
+            experiment="figure2-sweep",
+            horizon=horizon,
+            n_paths=10_000,
+            sweep={"prob_grid": [0.5]},
+        )
+        out = tmp_path / "out"
+        assert run(cfg, out_dir=str(out)) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "invalid-config" and "one interior" in record["message"]
+        assert not (out / "sweep.csv").exists()
 
     @pytest.mark.parametrize("form", ["yaml", "flag"])
     def test_workers_below_one_is_invalid_config(self, tmp_path, capsys, form):
@@ -217,3 +253,30 @@ class TestDeterminism:
         wealth = data[0][header.index("wealth")]
         mantissa = wealth.replace("-", "").replace(".", "").lstrip("0").split("e")[0]
         assert len(mantissa) == 12
+
+
+class TestWriteCsv:
+    def test_bytes_by_column_type(self, tmp_path):
+        path = tmp_path / "t.csv"
+        floats = np.array([0.1, -1.0 / 3.0, 1e-300, 1e16, math.inf, math.nan])
+        names = ["merton", "fixed-horizon"] * 3
+        cli._write_csv(path, ["path", "experiment", "x"], [np.arange(6), names, floats])
+        assert path.read_bytes() == (
+            b"path,experiment,x\n"
+            b"0,merton,0.1\n"
+            b"1,fixed-horizon,-0.333333333333\n"
+            b"2,merton,1e-300\n"
+            b"3,fixed-horizon,1e+16\n"
+            b"4,merton,inf\n"
+            b"5,fixed-horizon,nan\n"
+        )
+
+    def test_one_row_of_python_scalars(self, tmp_path):
+        path = tmp_path / "t.csv"
+        cli._write_csv(path, ["experiment", "seed", "p1"], zip(["merton", 20240811, 0.1]))
+        assert path.read_bytes() == b"experiment,seed,p1\nmerton,20240811,0.1\n"
+
+    def test_empty_table_is_the_header(self, tmp_path):
+        path = tmp_path / "t.csv"
+        cli._write_csv(path, ["p1", "ce"], zip(*[]))
+        assert path.read_bytes() == b"p1,ce\n"
