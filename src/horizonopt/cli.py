@@ -129,10 +129,10 @@ class ExperimentConfig:
                 probs=data["horizon"]["probs"],
                 terminal=data["horizon"]["terminal"],
             )
-            n_paths = int(data["n_paths"])
+            n_paths = _integer("n_paths", data["n_paths"])
             x0 = float(data["x0"])
-            workers = int(data["workers"])
-            seed = int(data["seed"])
+            workers = _integer("workers", data["workers"])
+            seed = _integer("seed", data["seed"])
             budget_tol = float(data["budget_tol"])
             spread_grid = tuple(float(d) for d in data["sweep"]["spread_grid"])
             prob_grid = tuple(float(p) for p in data["sweep"]["prob_grid"])
@@ -157,6 +157,13 @@ class ExperimentConfig:
             spread_grid=spread_grid,
             prob_grid=prob_grid,
         )
+
+
+def _integer(key: str, value) -> int:
+    """``int(value)``, but a float with a fractional part is rejected, not truncated."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _read_yaml(path: str | Path) -> dict:
@@ -296,8 +303,17 @@ def _run_uncertain(cfg: ExperimentConfig, out: Path) -> str:
     )
 
 
+def _interior_date(cfg: ExperimentConfig) -> tuple[float, float]:
+    """(T1, p1) of a horizon with exactly one interior stopping date, as the sweeps need."""
+    if len(cfg.horizon.dates) != 1:
+        raise ConfigError(
+            f"{cfg.experiment} needs exactly one interior stopping date, got {cfg.horizon.dates}"
+        )
+    return cfg.horizon.dates[0], cfg.horizon.probs[0]
+
+
 def _run_figure1(cfg: ExperimentConfig, out: Path) -> str:
-    p = cfg.horizon.probs[0] if cfg.horizon.probs else 0.5
+    _, p = _interior_date(cfg)
     t_tilde = cfg.t_tilde
     rows = []
     for d in cfg.spread_grid:
@@ -331,11 +347,7 @@ def _run_figure1(cfg: ExperimentConfig, out: Path) -> str:
 
 
 def _run_figure2(cfg: ExperimentConfig, out: Path) -> str:
-    if len(cfg.horizon.dates) != 1:
-        raise ConfigError(
-            f"figure2-sweep needs exactly one interior stopping date, got {cfg.horizon.dates}"
-        )
-    t1 = cfg.horizon.dates[0]
+    t1, _ = _interior_date(cfg)
     T = cfg.horizon.terminal
     paths = simulate_paths(cfg.market, [t1, T], cfg.n_paths, cfg.seed, n_workers=cfg.workers)
     rows = []

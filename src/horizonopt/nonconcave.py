@@ -236,6 +236,11 @@ def _two_date_horizon(spec: ProblemSpec) -> tuple[float, float, float]:
     return h.probs[0], h.dates[0], h.terminal
 
 
+def _within(x, lo: float, hi: float):
+    """x clipped to [lo, hi]; x itself, not a copy, when it lies inside."""
+    return x if lo <= x.min() and x.max() <= hi else np.clip(x, lo, hi)
+
+
 class _InnerKernel:
     """Vectorized solve of the implicit per-path multiplier equation.
 
@@ -248,6 +253,12 @@ class _InnerKernel:
     ``root`` refines a bracket in log x to the unique root. A root with
     x H_T1 above the envelope slope at the tangency point is inconsistent
     with positive wealth: that path takes the zero-wealth branch.
+
+    F also increases in C (nu_T = (C - p x)/(1 - p) rises with C), so the
+    root x*(C) increases in C on every path. ``budget`` uses this for warm
+    starts: it keeps the roots at the largest C evaluated so far whose
+    budget exceeded x0 and at the smallest whose budget did not, which
+    bracket the calibrated C. ``solve`` always starts from the cold bracket.
     """
 
     def __init__(self, spec: ProblemSpec, h_T1, w_T1):
@@ -255,6 +266,8 @@ class _InnerKernel:
         self.p, self.t1, self.T = _two_date_horizon(spec)
         self.h_T1 = np.asarray(h_T1, dtype=float)
         self.claim = _Continuation(spec, self.t1, self.T, w_T1, self.h_T1)
+        self._low = None  # (C, log x*(C)) with budget(C) > x0
+        self._high = None  # (C, log x*(C)) with budget(C) <= x0
 
     def continuation_value(self, nu_T):
         """Stop-date wealth of the optimal terminal claim with multiplier nu_T."""
@@ -267,22 +280,36 @@ class _InnerKernel:
         stop_wealth = claim.scale * np.exp(-log_x / claim.gamma) * claim.h_pow - claim.shift
         return stop_wealth - claim.value(log_nu_T)
 
-    def solve(self, C: float):
-        """Per-path root, zero-branch detection, wealth and residuals."""
+    def _log_roots(self, C: float, a=None, b=None):
+        """Per-path log x*(C), refined by ``root`` on [a, b].
+
+        An end left None is the cold one: 69 below, or just under, log(C/p).
+        Warm ends are clipped into that cold bracket. If rounding leaves a
+        path without a sign change on a warm bracket, the cold bracket is
+        used instead; on the cold bracket that raises InnerRootError.
+        """
         if not (C > 0.0):
             raise ValueError(f"multiplier constant must be positive, got {C}")
         cap = math.log(C / self.p)
         lo, hi = cap - _INNER_LOG_SPAN, cap + math.log1p(-1e-13)
-        f_lo = self.residual(lo, C)
-        f_hi = self.residual(hi, C)
-        bad = (f_lo <= 0.0) | (f_hi >= 0.0)
+        warm = a is not None or b is not None
+        a = lo if a is None else _within(a, lo, hi)
+        b = hi if b is None else _within(b, lo, hi)
+        f_a = self.residual(a, C)
+        f_b = self.residual(b, C)
+        bad = (f_a <= 0.0) | (f_b >= 0.0)
         if np.any(bad):
+            if warm:
+                return self._log_roots(C)
             raise InnerRootError(
                 f"no sign change on the feasible multiplier interval for "
                 f"{int(bad.sum())} of {bad.size} paths at C={C!r}"
             )
+        return root(lambda u: self.residual(u, C), a, b, f_a, f_b)
 
-        log_x = root(lambda u: self.residual(u, C), lo, hi, f_lo, f_hi)
+    def solve(self, C: float):
+        """Per-path root from the cold bracket, zero-branch detection, wealth and residuals."""
+        log_x = self._log_roots(C)
         x = np.exp(log_x)
         nu_T = (C - self.p * x) / (1.0 - self.p)
         residuals = self.residual(log_x, C)
@@ -294,8 +321,24 @@ class _InnerKernel:
         return nu_T1_out, nu_T_out, wealth, residuals, zero
 
     def budget(self, C: float) -> float:
-        _, _, wealth, _, _ = self.solve(C)
-        return float(np.mean(self.h_T1 * wealth))
+        """Monte-Carlo budget mean(H_T1 wealth_T1) at C, warm-started.
+
+        The roots at the nearest kept C on each side bracket the roots at C.
+        Only the wealth is formed: inverse_marginal already gives zero above
+        the envelope slope, so no multiplier or residual array is built.
+        """
+        known = sorted(filter(None, (self._low, self._high)), key=lambda k: k[0])
+        a = next((log_x for c, log_x in reversed(known) if c < C), None)
+        b = next((log_x for c, log_x in known if c > C), None)
+        log_x = self._log_roots(C, a, b)
+        wealth = inverse_marginal(self.spec.contract, np.exp(log_x) * self.h_T1)
+        value = float(np.mean(self.h_T1 * wealth))
+        if value > self.spec.x0:
+            if self._low is None or C > self._low[0]:
+                self._low = (C, log_x)
+        elif self._high is None or C < self._high[0]:
+            self._high = (C, log_x)
+        return value
 
 
 def solve_inner_nu_T(h_T1, w_T1, C: float, spec: ProblemSpec):
@@ -333,7 +376,9 @@ def solve_uncertain_horizon(
     The budget estimate mean(H_T1 * wealth_T1) is monotone decreasing in C
     (larger multipliers buy less wealth), so ``log_root`` finds its root in
     log C from the fixed-horizon multiplier, to 4e-13 in log C. Each
-    distinct C costs one inner solve and one entry of ``bracket_history``.
+    distinct C costs one inner solve, warm-started from the roots at the
+    nearest C evaluated so far, and one entry of ``bracket_history``; the
+    solve at the calibrated C starts cold.
     The reported residual must end up within budget_tol or a
     ConvergenceError with the full evaluation history is raised. A final
     per-path inner residual above 1e-10 max(wealth_T1, 1) on a path with

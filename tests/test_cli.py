@@ -107,6 +107,41 @@ class TestRun:
         assert record["error"] == "invalid-config" and "one interior" in record["message"]
         assert not (out / "sweep.csv").exists()
 
+    @pytest.mark.parametrize(
+        "horizon",
+        [{"dates": [], "probs": []}, {"dates": [4.0, 8.0], "probs": [0.2, 0.3]}],
+        ids=["no-date", "two-dates"],
+    )
+    def test_figure1_needs_one_interior_date(self, tmp_path, capsys, horizon):
+        cfg = write_config(
+            tmp_path / "c.yaml",
+            experiment="figure1-sweep",
+            horizon=horizon,
+            n_paths=10_000,
+            sweep={"spread_grid": [1.0]},
+        )
+        out = tmp_path / "out"
+        assert run(cfg, out_dir=str(out)) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "invalid-config" and "one interior" in record["message"]
+        assert not (out / "sweep.csv").exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("n_paths", 10_000.7), ("seed", 1.5), ("workers", 0.5), ("n_paths", math.inf)],
+        ids=["fractional-paths", "fractional-seed", "fractional-workers", "infinite-paths"],
+    )
+    def test_non_integral_count_is_invalid_config(self, tmp_path, capsys, key, value):
+        # truncating 10000.7 to 10000 would run a config the user did not write
+        overrides = {"experiment": "merton", "n_paths": 10_000, key: value}
+        cfg = write_config(tmp_path / "c.yaml", **overrides)
+        out = tmp_path / "out"
+        assert run(cfg, out_dir=str(out)) == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "invalid-config"
+        assert f"{key} must be an integer" in record["message"]
+        assert not (out / "solution.csv").exists()
+
     @pytest.mark.parametrize("form", ["yaml", "flag"])
     def test_workers_below_one_is_invalid_config(self, tmp_path, capsys, form):
         out = tmp_path / "out"

@@ -275,6 +275,50 @@ class TestCalibration:
         constants = [c for c, _ in sol.bracket_history]
         assert len(set(constants)) == len(constants) == sol.iterations
 
+    @pytest.mark.parametrize("x0, n_paths, seed", [(100.0, 10_000, 1), (40.0, 20_000, SEED + 4)])
+    def test_warm_budgets_match_cold_ones(self, market, contract, horizon, x0, n_paths, seed):
+        # one kernel keeps roots between calls; a fresh kernel per C starts cold
+        spec = ProblemSpec(market, contract, horizon, x0)
+        sol = solve_uncertain_horizon(spec, n_paths, seed=seed)
+        factors = [2.0, 0.5, 1.01, 0.99, 1.0 + 1e-9, 1.0 - 1e-9]
+        np.random.default_rng(seed).shuffle(factors)
+        warm = _InnerKernel(spec, sol.h_T1, sol.w_T1)
+        for factor in factors:
+            c = sol.c_star * factor
+            cold = _InnerKernel(spec, sol.h_T1, sol.w_T1).budget(c)
+            assert warm.budget(c) == pytest.approx(cold, rel=1e-13, abs=0.0)
+
+    def test_warm_bracket_without_sign_change_falls_back_to_cold(self, spec, small_solution):
+        sol = small_solution
+        c = sol.c_star
+        cold = _InnerKernel(spec, sol.h_T1, sol.w_T1).budget(c)
+        kernel = _InnerKernel(spec, sol.h_T1, sol.w_T1)
+        kernel.budget(0.5 * c)
+        kernel.budget(2.0 * c)
+        (c_low, _), (c_high, roots_high) = kernel._low, kernel._high
+        assert c_low < c < c_high
+        # both ends at the roots of 2c lie above every root at c: no sign change
+        kernel._low = (c_low, roots_high)
+        assert kernel.budget(c) == cold
+
+    @pytest.mark.parametrize(
+        "x0, n_paths, seed, most", [(100.0, 10_000, 1, 100), (40.0, 20_000, SEED + 4, 400)]
+    )
+    def test_warm_starts_bound_residual_evaluations(
+        self, monkeypatch, market, contract, horizon, x0, n_paths, seed, most
+    ):
+        # a count, not a timing: cold brackets for every budget take 136 and 854
+        calls = []
+        residual = _InnerKernel.residual
+
+        def counted(self, log_x, C):
+            calls.append(C)
+            return residual(self, log_x, C)
+
+        monkeypatch.setattr(_InnerKernel, "residual", counted)
+        solve_uncertain_horizon(ProblemSpec(market, contract, horizon, x0), n_paths, seed=seed)
+        assert len(calls) <= most
+
     def test_baseline_needs_few_budget_evaluations(self, spec):
         sol = solve_uncertain_horizon(spec, 10_000, seed=1)
         assert len(sol.bracket_history) <= 10
