@@ -23,7 +23,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .market import HorizonDistribution, bridge_insert
-from .nonconcave import ProblemSpec, SolverSolution, solve_fixed_horizon
+from .nonconcave import ProblemSpec, SolverSolution, _solution_spec, solve_fixed_horizon
 from .payoff import ContractUtility, inverse_marginal, payoff_value
 
 __all__ = [
@@ -96,15 +96,14 @@ def stopped_samples(spec: ProblemSpec, solution: SolverSolution) -> StoppedSampl
     The first paths, as many as ``stratified_dates`` gives T_1, stop there
     with their stop-date wealth; the rest run to the terminal date. Path
     order matches the solution arrays, so sample i of two coupled sets
-    refers to the same draws.
+    refers to the same draws. ``spec`` must be ``solution.spec``.
     """
-    p = spec.horizon.probs[0]
-    t1 = spec.horizon.dates[0]
-    T = spec.horizon.terminal
+    horizon = _solution_spec(spec, solution).horizon
+    t1, p = horizon.single_stop()
     n = solution.n_paths
-    dates = stratified_dates(spec.horizon, n)
+    dates = stratified_dates(horizon, n)
     wealth = np.where(dates == t1, solution.wealth_T1, solution.wealth_T)
-    meta = {"seed": solution.seed, "n_paths": n, "p": p, "t1": t1, "terminal": T}
+    meta = {"seed": solution.seed, "n_paths": n, "p": p, "t1": t1, "terminal": horizon.terminal}
     return StoppedSampleSet(dates=dates, wealth=wealth, meta=meta)
 
 
@@ -191,8 +190,10 @@ def fixed_horizon_wealth(
 
     The kernel at the fixed horizon is sampled by conditional insertion
     between the solution's stored dates (a Brownian bridge), so the fixed
-    and uncertain samples share their randomness path by path.
+    and uncertain samples share their randomness path by path. ``spec``
+    must be ``solution.spec``.
     """
+    spec = _solution_spec(spec, solution)
     fixed = solve_fixed_horizon(spec, horizon=horizon)
     refined = bridge_insert(solution.paths, horizon, seed=solution.seed)
     _, h_mid = refined.column(horizon)
@@ -207,8 +208,10 @@ def compare_to_fixed(
 
     Requires t_tilde = E[tau ^ T]. Differences carry paired standard
     errors computed from per-path influence values, which is valid for
-    coupled as well as independent samples.
+    coupled as well as independent samples. ``spec`` must be
+    ``solution.spec``.
     """
+    spec = _solution_spec(spec, solution)
     expected = spec.horizon.expected_stop
     if not math.isclose(t_tilde, expected, rel_tol=0.0, abs_tol=1e-9):
         raise ValueError(

@@ -266,7 +266,7 @@ def _run_uncertain(cfg: ExperimentConfig, out: Path) -> str:
     eu, var, ce = comparison.eu_uncertain, comparison.var_uncertain, comparison.ce_uncertain
     zero_fraction = float(sol.zero_mask.mean())
 
-    t1 = cfg.horizon.dates[0]
+    t1, p1 = cfg.horizon.single_stop()
     T = cfg.horizon.terminal
     _write_csv(
         out / "solution.csv",
@@ -289,8 +289,7 @@ def _run_uncertain(cfg: ExperimentConfig, out: Path) -> str:
             "var_fixed", "var_diff", "var_diff_se",
         ],
         zip([
-            "uncertain-horizon", cfg.n_paths, cfg.seed, t1, T,
-            cfg.horizon.probs[0], cfg.x0,
+            "uncertain-horizon", cfg.n_paths, cfg.seed, t1, T, p1, cfg.x0,
             sol.c_star, sol.iterations, sol.budget_estimate, sol.budget_residual,
             zero_fraction, eu.value, eu.se, ce, var.value, var.se,
             comparison.ce_fixed, comparison.ce_diff, comparison.ce_diff_se,
@@ -303,17 +302,8 @@ def _run_uncertain(cfg: ExperimentConfig, out: Path) -> str:
     )
 
 
-def _interior_date(cfg: ExperimentConfig) -> tuple[float, float]:
-    """(T1, p1) of a horizon with exactly one interior stopping date, as the sweeps need."""
-    if len(cfg.horizon.dates) != 1:
-        raise ConfigError(
-            f"{cfg.experiment} needs exactly one interior stopping date, got {cfg.horizon.dates}"
-        )
-    return cfg.horizon.dates[0], cfg.horizon.probs[0]
-
-
 def _run_figure1(cfg: ExperimentConfig, out: Path) -> str:
-    _, p = _interior_date(cfg)
+    _, p = cfg.horizon.single_stop()
     t_tilde = cfg.t_tilde
     rows = []
     for d in cfg.spread_grid:
@@ -347,7 +337,7 @@ def _run_figure1(cfg: ExperimentConfig, out: Path) -> str:
 
 
 def _run_figure2(cfg: ExperimentConfig, out: Path) -> str:
-    t1, _ = _interior_date(cfg)
+    t1, _ = cfg.horizon.single_stop()
     T = cfg.horizon.terminal
     paths = simulate_paths(cfg.market, [t1, T], cfg.n_paths, cfg.seed, n_workers=cfg.workers)
     rows = []

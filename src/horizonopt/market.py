@@ -135,6 +135,15 @@ class HorizonDistribution:
         m = self.expected_stop
         return sum(p * (t - m) ** 2 for p, t in zip(self.all_probs, self.grid))
 
+    def single_stop(self) -> tuple[float, float]:
+        """(T_1, p_1) of a two-date horizon: exactly one interior stopping date."""
+        if len(self.dates) != 1:
+            raise ValueError(
+                f"the two-date problem needs exactly one interior stopping date, "
+                f"got {self.dates}"
+            )
+        return self.dates[0], self.probs[0]
+
 
 @dataclass(frozen=True)
 class PathState:

@@ -31,6 +31,7 @@ from scipy.special import ndtr
 
 from ._roots import ConvergenceError, log_root, root
 from .market import (
+    DENSITY_RTOL,
     HorizonDistribution,
     MarketParams,
     PathState,
@@ -226,16 +227,6 @@ def solve_fixed_horizon(spec: ProblemSpec, horizon: float | None = None) -> Fixe
     return FixedHorizonSolution(nu=nu, budget_residual=residual, horizon=horizon)
 
 
-def _two_date_horizon(spec: ProblemSpec) -> tuple[float, float, float]:
-    h = spec.horizon
-    if len(h.dates) != 1:
-        raise ValueError(
-            f"the uncertain-horizon solver handles exactly one interior stopping "
-            f"date, got {len(h.dates)}"
-        )
-    return h.probs[0], h.dates[0], h.terminal
-
-
 def _within(x, lo: float, hi: float):
     """x clipped to [lo, hi]; x itself, not a copy, when it lies inside."""
     return x if lo <= x.min() and x.max() <= hi else np.clip(x, lo, hi)
@@ -263,9 +254,9 @@ class _InnerKernel:
 
     def __init__(self, spec: ProblemSpec, h_T1, w_T1):
         self.spec = spec
-        self.p, self.t1, self.T = _two_date_horizon(spec)
+        t1, self.p = spec.horizon.single_stop()
         self.h_T1 = np.asarray(h_T1, dtype=float)
-        self.claim = _Continuation(spec, self.t1, self.T, w_T1, self.h_T1)
+        self.claim = _Continuation(spec, t1, spec.horizon.terminal, w_T1, self.h_T1)
         self._low = None  # (C, log x*(C)) with budget(C) > x0
         self._high = None  # (C, log x*(C)) with budget(C) <= x0
 
@@ -352,9 +343,9 @@ def solve_inner_nu_T(h_T1, w_T1, C: float, spec: ProblemSpec):
     w_arr = np.atleast_1d(np.asarray(w_T1, dtype=float))
     if h_arr.shape != w_arr.shape:
         raise ValueError("h_T1 and w_T1 must have matching shapes")
-    _, t1, _ = _two_date_horizon(spec)
+    t1, _ = spec.horizon.single_stop()
     expected = state_price_density(spec.market, t1, w_arr)
-    if not np.allclose(h_arr, expected, rtol=1e-12, atol=0.0):
+    if not np.allclose(h_arr, expected, rtol=DENSITY_RTOL, atol=0.0):
         raise ValueError("h_T1 inconsistent with w_T1 under the market parameters")
     kernel = _InnerKernel(spec, h_arr, w_arr)
     _, nu_T, _, _, _ = kernel.solve(C)
@@ -393,7 +384,8 @@ def solve_uncertain_horizon(
         raise ValueError(f"n_paths must be at least 10000, got {n_paths}")
     if not (budget_tol >= 1e-4):
         raise ValueError(f"budget_tol must be at least 1e-4, got {budget_tol}")
-    p, t1, T = _two_date_horizon(spec)
+    t1, _ = spec.horizon.single_stop()
+    T = spec.horizon.terminal
 
     if paths is None:
         paths = simulate_paths(spec.market, [t1, T], n_paths, seed, n_workers=n_workers)
@@ -446,16 +438,39 @@ def solve_uncertain_horizon(
     )
 
 
+def _solution_spec(spec: ProblemSpec, solution: SolverSolution) -> ProblemSpec:
+    """``solution.spec``; a different ``spec`` is an error, not a new problem."""
+    if spec != solution.spec:
+        raise ValueError(
+            "spec differs from the spec the solution was solved for; pass solution.spec"
+        )
+    return solution.spec
+
+
 def _require_continuation_multiplier(spec, solution, s, state, nu_T):
-    p, t1, T = _two_date_horizon(spec)
+    """Priced continuation at (s, state) and its log nu_T, or None on the zero branch.
+
+    The shared setup of ``wealth_at`` and ``strategy_at``: ``spec`` must be
+    the solution's when one is given, the state must be at s and on the
+    market's density, and nu_T is recomputed from the state when not
+    given, which is only possible at s = T_1.
+    """
+    if solution is not None:
+        spec = _solution_spec(spec, solution)
+    if not math.isclose(state.t, s, rel_tol=0.0, abs_tol=1e-12):
+        raise ValueError(f"state is at t={state.t}, not at s={s}")
+    state.check(spec.market)
     if nu_T is None:
+        t1, _ = spec.horizon.single_stop()
         if not math.isclose(s, t1, rel_tol=0.0, abs_tol=1e-12):
             raise ValueError(
                 "the terminal multiplier is path specific beyond the stopping date; "
                 "pass nu_T from the solution"
             )
         nu_T = solve_inner_nu_T(state.h, state.w, solution.c_star, spec)
-    return float(nu_T)
+    if not np.isfinite(nu_T):
+        return None
+    return _Continuation(spec, s, spec.horizon.terminal, state.w, state.h), math.log(nu_T)
 
 
 def wealth_at(
@@ -475,24 +490,24 @@ def wealth_at(
     stop-date multiplier is not known at s, and pricing it needs nested
     simulation, which the analytics oracle covers instead.
     """
-    p, t1, T = _two_date_horizon(spec)
+    t1, _ = spec.horizon.single_stop()
+    T = spec.horizon.terminal
     if s > T:
         raise ValueError(f"time {s} beyond the terminal date {T}")
     if s < 0.0:
         raise ValueError(f"negative time {s}")
     if s == 0.0:
+        _solution_spec(spec, solution)
         return solution.budget_estimate
     if s < t1:
         raise ValueError(
             "closed-form wealth is available at s = 0 and on [T_1, T] only"
         )
-    if not math.isclose(state.t, s, rel_tol=0.0, abs_tol=1e-12):
-        raise ValueError(f"state is at t={state.t}, not at s={s}")
-    state.check(spec.market)
-    nu_T = _require_continuation_multiplier(spec, solution, s, state, nu_T)
-    if not np.isfinite(nu_T):
+    setup = _require_continuation_multiplier(spec, solution, s, state, nu_T)
+    if setup is None:
         return 0.0
-    return float(_Continuation(spec, s, T, state.w, state.h).value(math.log(nu_T)))
+    claim, log_nu = setup
+    return float(claim.value(log_nu))
 
 
 def strategy_at(
@@ -509,14 +524,12 @@ def strategy_at(
     truncation boundary. Far in the money both corrections vanish and the
     position reverts to the constant-fraction rule.
     """
-    p, t1, T = _two_date_horizon(spec)
+    t1, _ = spec.horizon.single_stop()
+    T = spec.horizon.terminal
     if not (t1 <= s < T):
         raise ValueError(f"strategy is defined on [T_1, T) = [{t1}, {T}), got {s}")
-    if not math.isclose(state.t, s, rel_tol=0.0, abs_tol=1e-12):
-        raise ValueError(f"state is at t={state.t}, not at s={s}")
-    state.check(spec.market)
-    nu_T = _require_continuation_multiplier(spec, solution, s, state, nu_T)
-    if not np.isfinite(nu_T):
+    setup = _require_continuation_multiplier(spec, solution, s, state, nu_T)
+    if setup is None:
         return 0.0
-    claim = _Continuation(spec, s, T, state.w, state.h)
-    return float(claim.delta(math.log(nu_T))) / spec.market.sigma
+    claim, log_nu = setup
+    return float(claim.delta(log_nu)) / spec.market.sigma

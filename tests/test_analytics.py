@@ -24,6 +24,7 @@ from horizonopt import (
     certainty_equivalent,
     compare_to_fixed,
     expected_utility,
+    fixed_horizon_wealth,
     martingale_regression,
     mean_se,
     paired_ce_diff,
@@ -59,6 +60,43 @@ class TestStoppedSamples:
         k = int(round(0.5 * small_solution.n_paths))
         np.testing.assert_array_equal(sset.wealth[:k], small_solution.wealth_T1[:k])
         np.testing.assert_array_equal(sset.wealth[k:], small_solution.wealth_T[k:])
+
+
+    @pytest.mark.parametrize(
+        "other_horizon",
+        [HorizonDistribution([], [], 12.0), HorizonDistribution([4.0, 8.0], [0.25, 0.25], 12.0)],
+        ids=["no-date", "two-dates"],
+    )
+    def test_needs_one_interior_date(self, spec, small_solution, other_horizon):
+        other = dataclasses.replace(spec, horizon=other_horizon)
+        with pytest.raises(ValueError, match="one interior"):
+            stopped_samples(other, dataclasses.replace(small_solution, spec=other))
+
+
+class TestSolutionSpec:
+    @pytest.mark.parametrize(
+        "other_horizon",
+        [HorizonDistribution([8.0], [0.9], 12.0), HorizonDistribution([4.0, 8.0], [0.2, 0.3], 12.0)],
+        ids=["p=0.9", "three-dates"],
+    )
+    def test_foreign_spec_is_rejected(self, spec, small_solution, other_horizon):
+        other = dataclasses.replace(spec, horizon=other_horizon)
+        t_tilde = other_horizon.expected_stop
+        calls = [
+            lambda: stopped_samples(other, small_solution),
+            lambda: compare_to_fixed(other, small_solution, t_tilde),
+            lambda: fixed_horizon_wealth(other, small_solution, t_tilde),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="solution.spec"):
+                call()
+
+    def test_equal_spec_is_accepted(self, spec, small_solution):
+        copy = ProblemSpec(spec.market, spec.contract, HorizonDistribution([8.0], [0.5], 12.0), 100)
+        assert copy is not spec
+        np.testing.assert_array_equal(
+            stopped_samples(copy, small_solution).wealth, stopped_samples(spec, small_solution).wealth
+        )
 
 
 class TestStratifiedDates:

@@ -54,6 +54,16 @@ class TestHorizonDistribution:
         assert degenerate.terminal_prob == 1.0
         assert degenerate.expected_stop == 12.0
 
+    @pytest.mark.parametrize(
+        "dates, probs", [([], []), ([4.0, 8.0], [0.2, 0.3])], ids=["no-date", "two-dates"]
+    )
+    def test_single_stop_needs_one_interior_date(self, horizon, dates, probs):
+        from horizonopt import HorizonDistribution
+
+        assert horizon.single_stop() == (8.0, 0.5)
+        with pytest.raises(ValueError, match="one interior"):
+            HorizonDistribution(dates, probs, 12.0).single_stop()
+
     def test_rejects_invalid_distributions(self):
         from horizonopt import HorizonDistribution
 

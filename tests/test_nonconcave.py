@@ -7,6 +7,7 @@ solver as the limit oracle for vanishing stopping probability.
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import math
 
@@ -553,3 +554,45 @@ class TestStrategyAt:
             strategy_at(spec, sol, 12.0, state, nu_T=1e-5)
         with pytest.raises(ValueError):
             strategy_at(spec, sol, 5.0, PathState.from_brownian(spec.market, 5.0, 0.0), nu_T=1e-5)
+
+
+class TestSolutionSpec:
+    """The two-date entry points check the horizon's shape and the solution's spec."""
+
+    @pytest.mark.parametrize(
+        "other_horizon",
+        [HorizonDistribution([], [], 12.0), HorizonDistribution([4.0, 8.0], [0.25, 0.25], 12.0)],
+        ids=["no-date", "two-dates"],
+    )
+    def test_every_entry_point_needs_one_interior_date(self, spec, small_solution, other_horizon):
+        other = dataclasses.replace(spec, horizon=other_horizon)
+        sol = dataclasses.replace(small_solution, spec=other)
+        state = PathState(t=8.0, w=float(small_solution.w_T1[0]), h=float(small_solution.h_T1[0]))
+        calls = [
+            lambda: solve_uncertain_horizon(other, 10_000, seed=1),
+            lambda: solve_inner_nu_T(state.h, state.w, sol.c_star, other),
+            lambda: wealth_at(other, sol, 8.0, state),
+            lambda: strategy_at(other, sol, 8.0, state),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="one interior"):
+                call()
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"horizon": HorizonDistribution([8.0], [0.9], 12.0)}, {"x0": 120.0}],
+        ids=["p=0.9", "x0=120"],
+    )
+    def test_foreign_spec_is_rejected(self, spec, small_solution, change):
+        other = dataclasses.replace(spec, **change)
+        i = int(np.flatnonzero(~small_solution.zero_mask)[0])
+        state = PathState(t=8.0, w=float(small_solution.w_T1[i]), h=float(small_solution.h_T1[i]))
+        start = PathState.from_brownian(spec.market, 0.0, 0.0)
+        calls = [
+            lambda: wealth_at(other, small_solution, 8.0, state),
+            lambda: wealth_at(other, small_solution, 0.0, start),
+            lambda: strategy_at(other, small_solution, 8.0, state),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="solution.spec"):
+                call()
