@@ -58,11 +58,10 @@ def mean_se(x) -> MeanWithError:
 
 @dataclass(frozen=True)
 class StoppedSampleSet:
-    """Per-path (stopping date, stopped wealth) samples with provenance."""
+    """Per-path (stopping date, stopped wealth) samples."""
 
     dates: NDArray[np.float64]
     wealth: NDArray[np.float64]
-    meta: dict
 
     def __post_init__(self) -> None:
         if self.dates.shape != self.wealth.shape or self.dates.ndim != 1:
@@ -99,12 +98,10 @@ def stopped_samples(spec: ProblemSpec, solution: SolverSolution) -> StoppedSampl
     refers to the same draws. ``spec`` must be ``solution.spec``.
     """
     horizon = _solution_spec(spec, solution).horizon
-    t1, p = horizon.single_stop()
-    n = solution.n_paths
-    dates = stratified_dates(horizon, n)
+    t1, _ = horizon.single_stop()
+    dates = stratified_dates(horizon, solution.n_paths)
     wealth = np.where(dates == t1, solution.wealth_T1, solution.wealth_T)
-    meta = {"seed": solution.seed, "n_paths": n, "p": p, "t1": t1, "terminal": horizon.terminal}
-    return StoppedSampleSet(dates=dates, wealth=wealth, meta=meta)
+    return StoppedSampleSet(dates=dates, wealth=wealth)
 
 
 def expected_utility(sset: StoppedSampleSet, c: ContractUtility) -> MeanWithError:
@@ -130,20 +127,20 @@ def certainty_equivalent(eu: float, c: ContractUtility) -> float:
     return c.threshold + (payout - c.guarantee) / c.participation
 
 
-def _variance_se(x: NDArray[np.float64]) -> float:
+def _variance(x: NDArray[np.float64]) -> MeanWithError:
+    """Unbiased sample variance with its standard error (0 for a single sample)."""
     n = x.size
-    if n < 2:
-        return 0.0
-    centered = x - x.mean()
-    m4 = float(np.mean(centered**4))
     s2 = float(np.var(x, ddof=1))
+    if n < 2:
+        return MeanWithError(s2, 0.0)
+    m4 = float(np.mean((x - x.mean()) ** 4))
     inner = m4 - (n - 3) / (n - 1) * s2**2
-    return math.sqrt(max(inner, 0.0) / n)
+    return MeanWithError(s2, math.sqrt(max(inner, 0.0) / n))
 
 
 def stopped_variance(sset: StoppedSampleSet) -> MeanWithError:
     """Unbiased sample variance of the stopped wealth with standard error."""
-    return MeanWithError(float(np.var(sset.wealth, ddof=1)), _variance_se(sset.wealth))
+    return _variance(sset.wealth)
 
 
 def _ce_slope(eu: float, c: ContractUtility) -> float:
@@ -221,14 +218,14 @@ def compare_to_fixed(
     sset = stopped_samples(spec, solution)
     nu_fixed, wealth_fixed = fixed_horizon_wealth(spec, solution, t_tilde)
 
-    eu_u = expected_utility(sset, c)
     values_u = payoff_value(c, sset.wealth)
     values_f = payoff_value(c, wealth_fixed)
+    eu_u = mean_se(values_u)
     eu_f = mean_se(values_f)
     ce_diff = paired_ce_diff(values_u, values_f, c)
 
     var_u = stopped_variance(sset)
-    var_f = MeanWithError(float(np.var(wealth_fixed, ddof=1)), _variance_se(wealth_fixed))
+    var_f = _variance(wealth_fixed)
     infl_u = (sset.wealth - sset.wealth.mean()) ** 2
     infl_f = (wealth_fixed - wealth_fixed.mean()) ** 2
 

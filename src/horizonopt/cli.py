@@ -33,7 +33,7 @@ import yaml
 from .analytics import (
     certainty_equivalent,
     compare_to_fixed,
-    expected_utility,
+    expected_utility,  # not called here: perfbench/trace.py wraps this name in this module
     mean_se,
     paired_ce_diff,
     stopped_samples,
@@ -176,17 +176,22 @@ def _read_yaml(path: str | Path) -> dict:
     return raw
 
 
-def _write_csv(path: Path, header: list[str], columns) -> None:
-    """Write one sequence per column; a one-row table passes ``zip(row)``.
+def _write_csv(path: Path, table: dict) -> None:
+    """Write a ``{column name: values}`` table; a scalar value is a one-row column.
 
     Float columns print as ``%.12g`` and all others as ``%s``. No cell is
     quoted: the only strings are experiment names and headers.
     """
-    columns = [np.asarray(c) for c in columns]
+    columns = [np.atleast_1d(c) for c in table.values()]
     row = ",".join("%.12g" if c.dtype.kind == "f" else "%s" for c in columns) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
+        fh.write(",".join(table) + "\n")
         fh.writelines(row % values for values in zip(*columns))
+
+
+def _sweep_table(rows: list[dict]) -> dict:
+    """One column per key of the (non-empty) list of sweep rows."""
+    return {name: [row[name] for row in rows] for name in rows[0]}
 
 
 def _run_merton(cfg: ExperimentConfig, out: Path) -> str:
@@ -195,31 +200,27 @@ def _run_merton(cfg: ExperimentConfig, out: Path) -> str:
         cfg.market, cfg.horizon.grid, cfg.n_paths, cfg.seed, n_workers=cfg.workers
     )
     dates = stratified_dates(cfg.horizon, cfg.n_paths)
-    gamma = cfg.contract.gamma
+    base = cfg.contract.base
     nu = np.array([sol.multiplier(t) for t in cfg.horizon.grid])
     cols = np.searchsorted(cfg.horizon.grid, dates)
     h = paths.h[np.arange(cfg.n_paths), cols]
     w = paths.w[np.arange(cfg.n_paths), cols]
     nu_path = nu[cols]
-    wealth = (nu_path * h) ** (-1.0 / gamma)
+    wealth = base.inverse_marginal(nu_path * h)
 
     budget, budget_se = mean_se(h * wealth)
-    eu, eu_se = mean_se(wealth ** (1.0 - gamma) / (1.0 - gamma))
-    ce = float(((1.0 - gamma) * eu) ** (1.0 / (1.0 - gamma)))
+    eu, eu_se = mean_se(base.value(wealth))
+    ce = float(base.inverse_value(eu))
 
-    _write_csv(
-        out / "solution.csv",
-        ["path", "stop_date", "w", "h", "nu", "wealth"],
-        [np.arange(cfg.n_paths), dates, w, h, nu_path, wealth],
-    )
-    _write_csv(
-        out / "summary.csv",
-        [
-            "experiment", "n_paths", "seed", "fraction",
-            "mc_budget", "mc_budget_se", "eu", "eu_se", "ce",
-        ],
-        zip(["merton", cfg.n_paths, cfg.seed, sol.fraction, budget, budget_se, eu, eu_se, ce]),
-    )
+    _write_csv(out / "solution.csv", {
+        "path": np.arange(cfg.n_paths), "stop_date": dates, "w": w, "h": h,
+        "nu": nu_path, "wealth": wealth,
+    })
+    _write_csv(out / "summary.csv", {
+        "experiment": "merton", "n_paths": cfg.n_paths, "seed": cfg.seed,
+        "fraction": sol.fraction, "mc_budget": budget, "mc_budget_se": budget_se,
+        "eu": eu, "eu_se": eu_se, "ce": ce,
+    })
     return f"merton: fraction={sol.fraction:.6f} mc_budget={budget:.4f} (se {budget_se:.4f})"
 
 
@@ -232,27 +233,16 @@ def _run_fixed(cfg: ExperimentConfig, out: Path) -> str:
     wealth = np.asarray(inverse_marginal(cfg.contract, fixed.nu * h))
     eu, eu_se = mean_se(payoff_value(cfg.contract, wealth))
     ce = certainty_equivalent(eu, cfg.contract)
-    var = float(np.var(wealth, ddof=1))
 
-    _write_csv(
-        out / "solution.csv",
-        ["path", "stop_date", "w", "h", "nu", "wealth"],
-        [
-            np.arange(cfg.n_paths), np.full(cfg.n_paths, horizon), w, h,
-            np.full(cfg.n_paths, fixed.nu), wealth,
-        ],
-    )
-    _write_csv(
-        out / "summary.csv",
-        [
-            "experiment", "n_paths", "seed", "horizon", "nu",
-            "budget_residual", "eu", "eu_se", "ce", "variance",
-        ],
-        zip([
-            "fixed-horizon", cfg.n_paths, cfg.seed, horizon, fixed.nu,
-            fixed.budget_residual, eu, eu_se, ce, var,
-        ]),
-    )
+    _write_csv(out / "solution.csv", {
+        "path": np.arange(cfg.n_paths), "stop_date": np.full(cfg.n_paths, horizon),
+        "w": w, "h": h, "nu": np.full(cfg.n_paths, fixed.nu), "wealth": wealth,
+    })
+    _write_csv(out / "summary.csv", {
+        "experiment": "fixed-horizon", "n_paths": cfg.n_paths, "seed": cfg.seed,
+        "horizon": horizon, "nu": fixed.nu, "budget_residual": fixed.budget_residual,
+        "eu": eu, "eu_se": eu_se, "ce": ce, "variance": float(np.var(wealth, ddof=1)),
+    })
     return f"fixed-horizon(T={horizon:g}): nu={fixed.nu:.6e} ce={ce:.4f}"
 
 
@@ -264,38 +254,24 @@ def _run_uncertain(cfg: ExperimentConfig, out: Path) -> str:
     sset = stopped_samples(spec, sol)
     comparison = compare_to_fixed(spec, sol, cfg.t_tilde)
     eu, var, ce = comparison.eu_uncertain, comparison.var_uncertain, comparison.ce_uncertain
-    zero_fraction = float(sol.zero_mask.mean())
 
     t1, p1 = cfg.horizon.single_stop()
-    T = cfg.horizon.terminal
-    _write_csv(
-        out / "solution.csv",
-        [
-            "path", "w_t1", "h_t1", "nu_t1", "nu_t",
-            "wealth_t1", "wealth_t", "stop_date", "stopped_wealth",
-        ],
-        [
-            np.arange(cfg.n_paths), sol.w_T1, sol.h_T1, sol.nu_T1, sol.nu_T,
-            sol.wealth_T1, sol.wealth_T, sset.dates, sset.wealth,
-        ],
-    )
-    _write_csv(
-        out / "summary.csv",
-        [
-            "experiment", "n_paths", "seed", "t1", "terminal", "p1", "x0",
-            "c_star", "iterations", "budget_estimate", "budget_residual",
-            "zero_fraction", "eu", "eu_se", "ce", "variance", "variance_se",
-            "ce_fixed", "ce_diff", "ce_diff_se",
-            "var_fixed", "var_diff", "var_diff_se",
-        ],
-        zip([
-            "uncertain-horizon", cfg.n_paths, cfg.seed, t1, T, p1, cfg.x0,
-            sol.c_star, sol.iterations, sol.budget_estimate, sol.budget_residual,
-            zero_fraction, eu.value, eu.se, ce, var.value, var.se,
-            comparison.ce_fixed, comparison.ce_diff, comparison.ce_diff_se,
-            comparison.var_fixed.value, comparison.var_diff, comparison.var_diff_se,
-        ]),
-    )
+    _write_csv(out / "solution.csv", {
+        "path": np.arange(cfg.n_paths), "w_t1": sol.w_T1, "h_t1": sol.h_T1,
+        "nu_t1": sol.nu_T1, "nu_t": sol.nu_T, "wealth_t1": sol.wealth_T1,
+        "wealth_t": sol.wealth_T, "stop_date": sset.dates, "stopped_wealth": sset.wealth,
+    })
+    _write_csv(out / "summary.csv", {
+        "experiment": "uncertain-horizon", "n_paths": cfg.n_paths, "seed": cfg.seed,
+        "t1": t1, "terminal": cfg.horizon.terminal, "p1": p1, "x0": cfg.x0,
+        "c_star": sol.c_star, "iterations": sol.iterations,
+        "budget_estimate": sol.budget_estimate, "budget_residual": sol.budget_residual,
+        "zero_fraction": float(sol.zero_mask.mean()), "eu": eu.value, "eu_se": eu.se,
+        "ce": ce, "variance": var.value, "variance_se": var.se,
+        "ce_fixed": comparison.ce_fixed, "ce_diff": comparison.ce_diff,
+        "ce_diff_se": comparison.ce_diff_se, "var_fixed": comparison.var_fixed.value,
+        "var_diff": comparison.var_diff, "var_diff_se": comparison.var_diff_se,
+    })
     return (
         f"uncertain-horizon: C={sol.c_star:.6e} budget_residual={sol.budget_residual:.2e} "
         f"ce={ce:.4f} (fixed {comparison.ce_fixed:.4f})"
@@ -304,6 +280,8 @@ def _run_uncertain(cfg: ExperimentConfig, out: Path) -> str:
 
 def _run_figure1(cfg: ExperimentConfig, out: Path) -> str:
     _, p = cfg.horizon.single_stop()
+    if not cfg.spread_grid:
+        raise ConfigError("figure1-sweep needs a non-empty spread_grid")
     t_tilde = cfg.t_tilde
     rows = []
     for d in cfg.spread_grid:
@@ -317,27 +295,23 @@ def _run_figure1(cfg: ExperimentConfig, out: Path) -> str:
             spec, cfg.n_paths, cfg.seed, budget_tol=cfg.budget_tol, n_workers=cfg.workers
         )
         comparison = compare_to_fixed(spec, sol, t_tilde)
-        rows.append([
-            d, t1, T, horizon.stop_variance,
-            comparison.var_uncertain.value, comparison.var_uncertain.se,
-            comparison.var_fixed.value, comparison.var_diff, comparison.var_diff_se,
-            comparison.ce_uncertain, comparison.ce_fixed,
-            comparison.ce_diff, comparison.ce_diff_se,
-        ])
-    _write_csv(
-        out / "sweep.csv",
-        [
-            "spread", "t1", "terminal", "var_tau",
-            "variance", "variance_se", "var_fixed", "var_diff", "var_diff_se",
-            "ce", "ce_fixed", "ce_diff", "ce_diff_se",
-        ],
-        zip(*rows),
-    )
+        rows.append({
+            "spread": d, "t1": t1, "terminal": T, "var_tau": horizon.stop_variance,
+            "variance": comparison.var_uncertain.value,
+            "variance_se": comparison.var_uncertain.se,
+            "var_fixed": comparison.var_fixed.value, "var_diff": comparison.var_diff,
+            "var_diff_se": comparison.var_diff_se, "ce": comparison.ce_uncertain,
+            "ce_fixed": comparison.ce_fixed, "ce_diff": comparison.ce_diff,
+            "ce_diff_se": comparison.ce_diff_se,
+        })
+    _write_csv(out / "sweep.csv", _sweep_table(rows))
     return f"figure1-sweep: {len(rows)} spreads around E[tau]={t_tilde:g}"
 
 
 def _run_figure2(cfg: ExperimentConfig, out: Path) -> str:
     t1, _ = cfg.horizon.single_stop()
+    if not cfg.prob_grid:
+        raise ConfigError("figure2-sweep needs a non-empty prob_grid")
     T = cfg.horizon.terminal
     paths = simulate_paths(cfg.market, [t1, T], cfg.n_paths, cfg.seed, n_workers=cfg.workers)
     rows = []
@@ -349,27 +323,20 @@ def _run_figure2(cfg: ExperimentConfig, out: Path) -> str:
             spec, cfg.n_paths, cfg.seed, budget_tol=cfg.budget_tol, paths=paths
         )
         sset = stopped_samples(spec, sol)
-        eu = expected_utility(sset, cfg.contract)
-        ce = certainty_equivalent(eu.value, cfg.contract)
         values = payoff_value(cfg.contract, sset.wealth)
+        eu = mean_se(values)
         var = stopped_variance(sset)
         if prev is None:
             step = step_se = float("nan")
         else:
             step, step_se = paired_ce_diff(values, prev, cfg.contract)
-        rows.append([
-            p, sol.c_star, sol.budget_residual, eu.value, eu.se,
-            ce, var.value, var.se, step, step_se,
-        ])
+        rows.append({
+            "p1": p, "c_star": sol.c_star, "budget_residual": sol.budget_residual,
+            "eu": eu.value, "eu_se": eu.se, "ce": certainty_equivalent(eu.value, cfg.contract),
+            "variance": var.value, "variance_se": var.se, "ce_step": step, "ce_step_se": step_se,
+        })
         prev = values
-    _write_csv(
-        out / "sweep.csv",
-        [
-            "p1", "c_star", "budget_residual", "eu", "eu_se",
-            "ce", "variance", "variance_se", "ce_step", "ce_step_se",
-        ],
-        zip(*rows),
-    )
+    _write_csv(out / "sweep.csv", _sweep_table(rows))
     return f"figure2-sweep: {len(rows)} stopping probabilities on ({t1:g}, {T:g})"
 
 
@@ -381,6 +348,13 @@ _RUNNERS = {
     "figure2-sweep": _run_figure2,
 }
 EXPERIMENTS = tuple(_RUNNERS)
+
+
+def _fail(status: int, record: dict) -> int:
+    """Write the failure record as one JSON line on stderr; returns ``status``."""
+    json.dump(record, sys.stderr)
+    sys.stderr.write("\n")
+    return status
 
 
 def run(
@@ -401,22 +375,12 @@ def run(
         out.mkdir(parents=True, exist_ok=True)
         summary = _RUNNERS[cfg.experiment](cfg, out)
     except (ConfigError, ValueError, OSError, yaml.YAMLError) as exc:
-        json.dump({"error": "invalid-config", "message": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return 2
+        return _fail(2, {"error": "invalid-config", "message": str(exc)})
     except ConvergenceError as exc:
-        record = {
-            "error": "non-convergence",
-            "message": str(exc),
-            "history": [[c, b] for c, b in exc.history],
-        }
-        json.dump(record, sys.stderr)
-        sys.stderr.write("\n")
-        return 3
+        history = [[c, b] for c, b in exc.history]
+        return _fail(3, {"error": "non-convergence", "message": str(exc), "history": history})
     except InnerRootError as exc:
-        json.dump({"error": "inner-root", "message": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return 4
+        return _fail(4, {"error": "inner-root", "message": str(exc)})
     if not quiet:
         print(f"{summary} -> {out}")
     return 0

@@ -157,10 +157,10 @@ class PathState:
     def from_brownian(cls, params: MarketParams, t: float, w: float) -> "PathState":
         return cls(t=t, w=w, h=state_price_density(params, t, w))
 
-    def check(self, params: MarketParams, rtol: float = DENSITY_RTOL) -> None:
-        """Verify h matches the closed form implied by (t, w)."""
+    def check(self, params: MarketParams) -> None:
+        """Verify h matches the closed form implied by (t, w), to DENSITY_RTOL."""
         expected = state_price_density(params, self.t, self.w)
-        if not math.isclose(self.h, expected, rel_tol=rtol, abs_tol=0.0):
+        if not math.isclose(self.h, expected, rel_tol=DENSITY_RTOL, abs_tol=0.0):
             raise ValueError(
                 f"inconsistent state: h={self.h!r} but closed form gives {expected!r}"
             )
@@ -210,9 +210,22 @@ def _block_key(seed: int, block: int, tag: int) -> np.ndarray:
     return np.array([word0, int(block) % (1 << 64)], dtype=np.uint64)
 
 
-def _standard_normal_block(seed: int, block: int, shape: tuple[int, ...], tag: int):
-    gen = np.random.Generator(np.random.Philox(key=_block_key(seed, block, tag)))
-    return gen.standard_normal(shape)
+def _normals(seed: int, n_paths: int, width: int, tag: int, n_workers: int = 1):
+    """(n_paths, width) standard normals, _BLOCK rows from each substream (seed, b, tag)."""
+    z = np.empty((n_paths, width), dtype=np.float64)
+
+    def fill(block: int) -> None:
+        gen = np.random.Generator(np.random.Philox(key=_block_key(seed, block, tag)))
+        gen.standard_normal(out=z[block * _BLOCK : (block + 1) * _BLOCK])
+
+    blocks = range((n_paths + _BLOCK - 1) // _BLOCK)
+    if n_workers > 1:
+        with ThreadPoolExecutor(max_workers=n_workers) as pool:
+            list(pool.map(fill, blocks))
+    else:
+        for block in blocks:
+            fill(block)
+    return z
 
 
 def simulate_paths(
@@ -240,26 +253,9 @@ def simulate_paths(
             raise ValueError(f"date grid must be strictly increasing and positive, got {grid}")
         prev = t
 
-    n_steps = len(grid)
-    dts = np.diff([0.0] + grid)
-    sqrt_dts = np.sqrt(dts)
-
-    w = np.empty((n_paths, n_steps), dtype=np.float64)
-    n_blocks = (n_paths + _BLOCK - 1) // _BLOCK
-
-    def fill(block: int) -> None:
-        lo = block * _BLOCK
-        hi = min(lo + _BLOCK, n_paths)
-        z = _standard_normal_block(seed, block, (hi - lo, n_steps), tag=0)
-        np.cumsum(z * sqrt_dts, axis=1, out=w[lo:hi])
-
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            list(pool.map(fill, range(n_blocks)))
-    else:
-        for block in range(n_blocks):
-            fill(block)
-
+    w = _normals(seed, n_paths, len(grid), 0, n_workers)
+    w *= np.sqrt(np.diff([0.0] + grid))
+    np.cumsum(w, axis=1, out=w)
     h = np.exp(-params.kernel_drift * np.asarray(grid) - params.theta * w)
     return SimulatedPaths(params=params, dates=tuple(grid), w=w, h=h)
 
@@ -286,14 +282,8 @@ def bridge_insert(paths: SimulatedPaths, t_new: float, seed: int) -> SimulatedPa
     lam = (t_new - t_l) / (t_r - t_l)
     sd = math.sqrt((t_new - t_l) * (t_r - t_new) / (t_r - t_l))
 
-    w_mid = np.empty(paths.n_paths, dtype=np.float64)
-    n_blocks = (paths.n_paths + _BLOCK - 1) // _BLOCK
-    for block in range(n_blocks):
-        lo = block * _BLOCK
-        hi = min(lo + _BLOCK, paths.n_paths)
-        z = _standard_normal_block(seed, block, (hi - lo,), tag=1)
-        w_mid[lo:hi] = w_l[lo:hi] + lam * (w_r[lo:hi] - w_l[lo:hi]) + sd * z
-
+    z = _normals(seed, paths.n_paths, 1, 1)[:, 0]
+    w_mid = w_l + lam * (w_r - w_l) + sd * z
     h_mid = state_price_density(paths.params, t_new, w_mid)
     dates = paths.dates[:j] + (t_new,) + paths.dates[j:]
     w = np.insert(paths.w, j, w_mid, axis=1)

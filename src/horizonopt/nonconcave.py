@@ -314,13 +314,12 @@ class _InnerKernel:
     def budget(self, C: float) -> float:
         """Monte-Carlo budget mean(H_T1 wealth_T1) at C, warm-started.
 
-        The roots at the nearest kept C on each side bracket the roots at C.
+        The roots at the kept C below and above C bracket the roots at C.
         Only the wealth is formed: inverse_marginal already gives zero above
         the envelope slope, so no multiplier or residual array is built.
         """
-        known = sorted(filter(None, (self._low, self._high)), key=lambda k: k[0])
-        a = next((log_x for c, log_x in reversed(known) if c < C), None)
-        b = next((log_x for c, log_x in known if c > C), None)
+        a = self._low[1] if self._low and self._low[0] < C else None
+        b = self._high[1] if self._high and self._high[0] > C else None
         log_x = self._log_roots(C, a, b)
         wealth = inverse_marginal(self.spec.contract, np.exp(log_x) * self.h_T1)
         value = float(np.mean(self.h_T1 * wealth))
@@ -453,7 +452,7 @@ def _require_continuation_multiplier(spec, solution, s, state, nu_T):
     The shared setup of ``wealth_at`` and ``strategy_at``: ``spec`` must be
     the solution's when one is given, the state must be at s and on the
     market's density, and nu_T is recomputed from the state when not
-    given, which is only possible at s = T_1.
+    given, which is only possible at s = T_1 and needs the solution's C.
     """
     if solution is not None:
         spec = _solution_spec(spec, solution)
@@ -467,6 +466,8 @@ def _require_continuation_multiplier(spec, solution, s, state, nu_T):
                 "the terminal multiplier is path specific beyond the stopping date; "
                 "pass nu_T from the solution"
             )
+        if solution is None:
+            raise ValueError("a solution or nu_T is needed")
         nu_T = solve_inner_nu_T(state.h, state.w, solution.c_star, spec)
     if not np.isfinite(nu_T):
         return None
@@ -475,7 +476,7 @@ def _require_continuation_multiplier(spec, solution, s, state, nu_T):
 
 def wealth_at(
     spec: ProblemSpec,
-    solution: SolverSolution,
+    solution: SolverSolution | None,
     s: float,
     state: PathState,
     nu_T: float | None = None,
@@ -488,7 +489,8 @@ def wealth_at(
     path is recomputed from the T_1 state when not supplied, which is only
     possible at s = T_1. Times in (0, T_1) have no closed form here: the
     stop-date multiplier is not known at s, and pricing it needs nested
-    simulation, which the analytics oracle covers instead.
+    simulation, which the analytics oracle covers instead. ``solution``
+    may be None where nu_T is given and s > 0.
     """
     t1, _ = spec.horizon.single_stop()
     T = spec.horizon.terminal
@@ -497,6 +499,8 @@ def wealth_at(
     if s < 0.0:
         raise ValueError(f"negative time {s}")
     if s == 0.0:
+        if solution is None:
+            raise ValueError("the wealth at s = 0 is the budget of a solution; pass one")
         _solution_spec(spec, solution)
         return solution.budget_estimate
     if s < t1:
@@ -512,7 +516,7 @@ def wealth_at(
 
 def strategy_at(
     spec: ProblemSpec,
-    solution: SolverSolution,
+    solution: SolverSolution | None,
     s: float,
     state: PathState,
     nu_T: float | None = None,
@@ -522,7 +526,8 @@ def strategy_at(
     Equals the delta of the closed-form wealth with respect to the stock:
     the usual myopic term plus two Gaussian-density corrections from the
     truncation boundary. Far in the money both corrections vanish and the
-    position reverts to the constant-fraction rule.
+    position reverts to the constant-fraction rule. ``solution`` may be
+    None where nu_T is given.
     """
     t1, _ = spec.horizon.single_stop()
     T = spec.horizon.terminal

@@ -40,9 +40,9 @@ from horizonopt.cli import run
 SEED = 909
 
 
-def make_set(dates, wealth, **meta) -> StoppedSampleSet:
+def make_set(dates, wealth) -> StoppedSampleSet:
     return StoppedSampleSet(
-        dates=np.asarray(dates, dtype=float), wealth=np.asarray(wealth, dtype=float), meta=meta
+        dates=np.asarray(dates, dtype=float), wealth=np.asarray(wealth, dtype=float)
     )
 
 

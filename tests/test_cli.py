@@ -27,6 +27,12 @@ def read_csv(path):
     return header, data
 
 
+def json_line(err):
+    """The failure record, which must be the one line written to stderr."""
+    assert err.endswith("\n") and err.count("\n") == 1
+    return json.loads(err)
+
+
 def summary_value(out_dir, column, cast=float):
     header, data = read_csv(out_dir / "summary.csv")
     return cast(data[0][header.index(column)])
@@ -67,9 +73,8 @@ class TestRun:
         cfg = tmp_path / "bad.yaml"
         cfg.write_text("experiment: nonesuch\n", encoding="utf-8")
         status = run(str(cfg), out_dir=str(tmp_path / "out"))
-        captured = capsys.readouterr()
-        assert status != 0
-        record = json.loads(captured.err)
+        assert status == 2
+        record = json_line(capsys.readouterr().err)
         assert record["error"] == "invalid-config"
 
     @pytest.mark.parametrize(
@@ -127,6 +132,20 @@ class TestRun:
         assert not (out / "sweep.csv").exists()
 
     @pytest.mark.parametrize(
+        "experiment, sweep",
+        [("figure1-sweep", {"spread_grid": []}), ("figure2-sweep", {"prob_grid": []})],
+        ids=["figure1", "figure2"],
+    )
+    def test_empty_sweep_grid_is_invalid_config(self, tmp_path, capsys, experiment, sweep):
+        # a sweep without grid points has no rows and so no columns to write
+        cfg = write_config(tmp_path / "c.yaml", experiment=experiment, n_paths=10_000, sweep=sweep)
+        out = tmp_path / "out"
+        assert run(cfg, out_dir=str(out)) == 2
+        record = json_line(capsys.readouterr().err)
+        assert record["error"] == "invalid-config" and "non-empty" in record["message"]
+        assert not (out / "sweep.csv").exists()
+
+    @pytest.mark.parametrize(
         "key, value",
         [("n_paths", 10_000.7), ("seed", 1.5), ("workers", 0.5), ("n_paths", math.inf)],
         ids=["fractional-paths", "fractional-seed", "fractional-workers", "infinite-paths"],
@@ -163,7 +182,7 @@ class TestRun:
         monkeypatch.setattr(cli, "solve_uncertain_horizon", fail)
         cfg = write_config(tmp_path / "c.yaml", experiment="uncertain-horizon")
         assert run(cfg, out_dir=str(tmp_path / "out")) == 4
-        record = json.loads(capsys.readouterr().err)
+        record = json_line(capsys.readouterr().err)
         assert record == {
             "error": "inner-root",
             "message": "no sign change on the feasible multiplier interval",
@@ -182,7 +201,7 @@ class TestRun:
     def test_non_convergence_is_machine_readable(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.yaml", x0=5.0, budget_tol=1e-4, n_paths=10_000, seed=1)
         assert run(cfg, out_dir=str(tmp_path / "out")) == 3
-        record = json.loads(capsys.readouterr().err)
+        record = json_line(capsys.readouterr().err)
         assert record["error"] == "non-convergence" and "budget residual" in record["message"]
         assert record["history"] and all(len(entry) == 2 for entry in record["history"])
 
@@ -295,7 +314,7 @@ class TestWriteCsv:
         path = tmp_path / "t.csv"
         floats = np.array([0.1, -1.0 / 3.0, 1e-300, 1e16, math.inf, math.nan])
         names = ["merton", "fixed-horizon"] * 3
-        cli._write_csv(path, ["path", "experiment", "x"], [np.arange(6), names, floats])
+        cli._write_csv(path, {"path": np.arange(6), "experiment": names, "x": floats})
         assert path.read_bytes() == (
             b"path,experiment,x\n"
             b"0,merton,0.1\n"
@@ -308,10 +327,10 @@ class TestWriteCsv:
 
     def test_one_row_of_python_scalars(self, tmp_path):
         path = tmp_path / "t.csv"
-        cli._write_csv(path, ["experiment", "seed", "p1"], zip(["merton", 20240811, 0.1]))
+        cli._write_csv(path, {"experiment": "merton", "seed": 20240811, "p1": 0.1})
         assert path.read_bytes() == b"experiment,seed,p1\nmerton,20240811,0.1\n"
 
     def test_empty_table_is_the_header(self, tmp_path):
         path = tmp_path / "t.csv"
-        cli._write_csv(path, ["p1", "ce"], zip(*[]))
+        cli._write_csv(path, {"p1": [], "ce": []})
         assert path.read_bytes() == b"p1,ce\n"

@@ -495,6 +495,13 @@ class TestWealthAt:
         with pytest.raises(ValueError, match="path specific"):
             wealth_at(spec, small_solution, 10.0, PathState.from_brownian(spec.market, 10.0, 0.0))
 
+    @pytest.mark.parametrize("s", [8.0, 0.0], ids=["stop-date", "time-zero"])
+    def test_without_solution_or_nu_T(self, spec, s):
+        # the solution is needed for C at the stop date and for the budget at 0
+        state = PathState.from_brownian(spec.market, s, 0.0)
+        with pytest.raises(ValueError, match="solution"):
+            wealth_at(spec, None, s, state)
+
 
 class TestStrategyAt:
     def _fd_delta(self, spec, sol, s, w, nu_T, step=1e-5):
@@ -554,6 +561,11 @@ class TestStrategyAt:
             strategy_at(spec, sol, 12.0, state, nu_T=1e-5)
         with pytest.raises(ValueError):
             strategy_at(spec, sol, 5.0, PathState.from_brownian(spec.market, 5.0, 0.0), nu_T=1e-5)
+
+    def test_without_solution_or_nu_T(self, spec):
+        state = PathState.from_brownian(spec.market, 8.0, 0.0)
+        with pytest.raises(ValueError, match="a solution or nu_T is needed"):
+            strategy_at(spec, None, 8.0, state)
 
 
 class TestSolutionSpec:
