@@ -320,7 +320,8 @@ def _run_figure2(cfg: ExperimentConfig, out: Path) -> str:
         horizon = HorizonDistribution([t1], [p], T)
         spec = ProblemSpec(cfg.market, cfg.contract, horizon, cfg.x0)
         sol = solve_uncertain_horizon(
-            spec, cfg.n_paths, cfg.seed, budget_tol=cfg.budget_tol, paths=paths
+            spec, cfg.n_paths, cfg.seed, budget_tol=cfg.budget_tol, paths=paths,
+            n_workers=cfg.workers,
         )
         sset = stopped_samples(spec, sol)
         values = payoff_value(cfg.contract, sset.wealth)
@@ -395,7 +396,10 @@ def main(argv=None) -> int:
     parser.add_argument("--out-dir", help=f"output directory (default ${OUT_DIR_ENV} or ./out)")
     parser.add_argument("--seed", type=int, help="override the config seed")
     parser.add_argument("--paths", type=int, help="override the config path count")
-    parser.add_argument("--workers", type=int, help="override the simulator worker count")
+    parser.add_argument(
+        "--workers", type=int,
+        help="override the thread count of path simulation and the inner solve",
+    )
     parser.add_argument("--quiet", action="store_true", help="suppress the summary line")
     args = parser.parse_args(argv)
     return run(

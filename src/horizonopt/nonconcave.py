@@ -22,7 +22,10 @@ Chandrupatla's method on that step.
 
 from __future__ import annotations
 
+import contextlib
+import copy
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,6 +65,11 @@ _INNER_LOG_SPAN = 69.0  # lower bracket endpoint: e^-69 ~ 1e-30 of the cap
 _LOG_XTOL = 4e-13
 # Per-path inner residual allowed at the final solve, relative to max(wealth, 1).
 _INNER_RESIDUAL_RTOL = 1e-10
+# The inner solve splits more paths than this into blocks of this many: a
+# block's arrays stay in the per-core L2 cache, and blocks can run on worker
+# threads. ``root`` is elementwise, so the roots depend on neither the block
+# size nor the worker count.
+_ROOT_BLOCK = 16_384
 
 
 class InnerRootError(RuntimeError):
@@ -176,6 +184,12 @@ class _Continuation:
         self.f_1 = float(f_factor(1.0, t, T, m))
         self.s_dt = abs(m.theta) * math.sqrt(T - t)
 
+    def part(self, s: slice):
+        """The same claim on the paths s; its per-path constants are views."""
+        part = copy.copy(self)
+        part.h_pow, part.edge = self.h_pow[s], self.edge[s]
+        return part
+
     def _z(self, log_nu):
         """Normal quantiles of g(q, t, T) and g(1, t, T)."""
         z = (self.edge - log_nu) / self.s_dt
@@ -232,6 +246,11 @@ def _within(x, lo: float, hi: float):
     return x if lo <= x.min() and x.max() <= hi else np.clip(x, lo, hi)
 
 
+def _rows(x, s: slice):
+    """The paths s of a per-path array; a scalar is the same on every path."""
+    return x if np.ndim(x) == 0 else x[s]
+
+
 class _InnerKernel:
     """Vectorized solve of the implicit per-path multiplier equation.
 
@@ -250,22 +269,34 @@ class _InnerKernel:
     starts: it keeps the roots at the largest C evaluated so far whose
     budget exceeded x0 and at the smallest whose budget did not, which
     bracket the calibrated C. ``solve`` always starts from the cold bracket.
+
+    More than _ROOT_BLOCK paths are solved in blocks of _ROOT_BLOCK paths,
+    on the threads of ``pool`` when one is given. Every root is the one the
+    whole array would give, so the output does not depend on the pool.
     """
 
-    def __init__(self, spec: ProblemSpec, h_T1, w_T1):
+    def __init__(self, spec: ProblemSpec, h_T1, w_T1, pool: ThreadPoolExecutor | None = None):
         self.spec = spec
         t1, self.p = spec.horizon.single_stop()
         self.h_T1 = np.asarray(h_T1, dtype=float)
         self.claim = _Continuation(spec, t1, spec.horizon.terminal, w_T1, self.h_T1)
         self._low = None  # (C, log x*(C)) with budget(C) > x0
         self._high = None  # (C, log x*(C)) with budget(C) <= x0
+        n = self.h_T1.size
+        # (paths, claim on those paths) per block; None: one whole-array solve
+        self._blocks = None if n <= _ROOT_BLOCK else [
+            (s, self.claim.part(s))
+            for s in (slice(i, min(i + _ROOT_BLOCK, n)) for i in range(0, n, _ROOT_BLOCK))
+        ]
+        self._map = map if pool is None else pool.map
 
     def continuation_value(self, nu_T):
         """Stop-date wealth of the optimal terminal claim with multiplier nu_T."""
         return self.claim.value(np.log(nu_T))
 
-    def residual(self, log_x, C: float):
-        claim = self.claim
+    def residual(self, log_x, C: float, claim: _Continuation | None = None):
+        """F at log x on every path, or on the paths of ``claim``, a block's part."""
+        claim = self.claim if claim is None else claim
         x = np.exp(log_x)
         log_nu_T = np.log((C - self.p * x) / (1.0 - self.p))
         stop_wealth = claim.scale * np.exp(-log_x / claim.gamma) * claim.h_pow - claim.shift
@@ -278,6 +309,8 @@ class _InnerKernel:
         Warm ends are clipped into that cold bracket. If rounding leaves a
         path without a sign change on a warm bracket, the cold bracket is
         used instead; on the cold bracket that raises InnerRootError.
+        In blocks, all residuals at the ends are formed before the one sign
+        check over all paths, and only then does ``root`` run on each block.
         """
         if not (C > 0.0):
             raise ValueError(f"multiplier constant must be positive, got {C}")
@@ -286,8 +319,19 @@ class _InnerKernel:
         warm = a is not None or b is not None
         a = lo if a is None else _within(a, lo, hi)
         b = hi if b is None else _within(b, lo, hi)
-        f_a = self.residual(a, C)
-        f_b = self.residual(b, C)
+        blocks = self._blocks
+        if blocks is None:
+            f_a = self.residual(a, C)
+            f_b = self.residual(b, C)
+        else:
+            f_a, f_b = np.empty(self.h_T1.size), np.empty(self.h_T1.size)
+
+            def ends(block):
+                s, claim = block
+                f_a[s] = self.residual(_rows(a, s), C, claim)
+                f_b[s] = self.residual(_rows(b, s), C, claim)
+
+            list(self._map(ends, blocks))
         bad = (f_a <= 0.0) | (f_b >= 0.0)
         if np.any(bad):
             if warm:
@@ -296,7 +340,18 @@ class _InnerKernel:
                 f"no sign change on the feasible multiplier interval for "
                 f"{int(bad.sum())} of {bad.size} paths at C={C!r}"
             )
-        return root(lambda u: self.residual(u, C), a, b, f_a, f_b)
+        if blocks is None:
+            return root(lambda u: self.residual(u, C), a, b, f_a, f_b)
+        log_x = np.empty(self.h_T1.size)
+
+        def refine(block):
+            s, claim = block
+            log_x[s] = root(
+                lambda u: self.residual(u, C, claim), _rows(a, s), _rows(b, s), f_a[s], f_b[s]
+            )
+
+        list(self._map(refine, blocks))
+        return log_x
 
     def solve(self, C: float):
         """Per-path root from the cold bracket, zero-branch detection, wealth and residuals."""
@@ -378,6 +433,11 @@ def solve_uncertain_horizon(
     the budget function is deterministic and free of cross-iteration noise.
     Pass ``paths`` to share draws with other computations; it must contain
     both horizon dates on its grid.
+
+    ``n_workers`` threads simulate the paths (when ``paths`` is None) and,
+    from one pool opened for this call, solve the per-path roots of more
+    than 16,384 paths in blocks of 16,384. The result is bit-identical for
+    any worker count.
     """
     if n_paths < 10_000:
         raise ValueError(f"n_paths must be at least 10000, got {n_paths}")
@@ -397,12 +457,15 @@ def solve_uncertain_horizon(
     w_T1, h_T1 = paths.column(t1)
     _, h_T = paths.column(T)
 
-    kernel = _InnerKernel(spec, h_T1, w_T1)
     x0 = spec.x0
     c_init = solve_fixed_horizon(spec, horizon=T).nu
-    log_c, history = log_root(lambda u: kernel.budget(math.exp(u)), math.log(c_init), x0, _LOG_XTOL)
-    c_star = math.exp(log_c)
-    nu_T1, nu_T, wealth_T1, residuals, zero = kernel.solve(c_star)
+    with ThreadPoolExecutor(n_workers) if n_workers > 1 else contextlib.nullcontext() as pool:
+        kernel = _InnerKernel(spec, h_T1, w_T1, pool)
+        log_c, history = log_root(
+            lambda u: kernel.budget(math.exp(u)), math.log(c_init), x0, _LOG_XTOL
+        )
+        c_star = math.exp(log_c)
+        nu_T1, nu_T, wealth_T1, residuals, zero = kernel.solve(c_star)
     residuals = np.where(zero, np.nan, residuals)
     off = ~zero & ~(np.abs(residuals) <= _INNER_RESIDUAL_RTOL * np.maximum(wealth_T1, 1.0))
     if np.any(off):

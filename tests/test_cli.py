@@ -250,6 +250,26 @@ class TestRun:
         assert all(a > b for a, b in zip(ce, ce[1:]))
         assert all(s < -3 * se for s, se in zip(steps, step_ses))
 
+    def test_figure2_sweep_solves_with_the_configured_workers(self, tmp_path, monkeypatch):
+        workers = []
+        solve = cli.solve_uncertain_horizon
+
+        def recorded(*args, **kwargs):
+            workers.append(kwargs.get("n_workers"))
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "solve_uncertain_horizon", recorded)
+        cfg = write_config(
+            tmp_path / "c.yaml",
+            experiment="figure2-sweep",
+            n_paths=10_000,
+            seed=4,
+            workers=3,
+            sweep={"prob_grid": [0.2, 0.5]},
+        )
+        assert run(cfg, out_dir=str(tmp_path / "out"), quiet=True) == 0
+        assert workers == [3, 3]
+
     def test_figure1_sweep_emits_grid(self, tmp_path):
         cfg = write_config(
             tmp_path / "c.yaml",

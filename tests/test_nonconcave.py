@@ -10,6 +10,8 @@ from __future__ import annotations
 import dataclasses
 import gc
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -32,8 +34,10 @@ from horizonopt import (
     strategy_at,
     wealth_at,
 )
-from horizonopt._roots import log_root
+from horizonopt._roots import log_root, root
 from horizonopt.nonconcave import (
+    _INNER_LOG_SPAN,
+    _ROOT_BLOCK,
     ConvergenceError,
     InnerRootError,
     _Continuation,
@@ -308,17 +312,18 @@ class TestCalibration:
     def test_warm_starts_bound_residual_evaluations(
         self, monkeypatch, market, contract, horizon, x0, n_paths, seed, most
     ):
-        # a count, not a timing: cold brackets for every budget take 136 and 854
+        # a count, not a timing: cold brackets for every budget take 136 and 854;
+        # a call on one block of paths counts as its share of a whole evaluation
         calls = []
         residual = _InnerKernel.residual
 
-        def counted(self, log_x, C):
-            calls.append(C)
-            return residual(self, log_x, C)
+        def counted(self, log_x, C, *block):
+            calls.append(np.size(log_x) / n_paths)
+            return residual(self, log_x, C, *block)
 
         monkeypatch.setattr(_InnerKernel, "residual", counted)
         solve_uncertain_horizon(ProblemSpec(market, contract, horizon, x0), n_paths, seed=seed)
-        assert len(calls) <= most
+        assert 0 < sum(calls) <= most
 
     def test_baseline_needs_few_budget_evaluations(self, spec):
         sol = solve_uncertain_horizon(spec, 10_000, seed=1)
@@ -369,6 +374,81 @@ class TestCalibration:
         spec = ProblemSpec(MarketParams(mu=0.5, r=0.03, sigma=0.1), contract, horizon, 100.0)
         with pytest.raises(InnerRootError, match="inner residual"):
             solve_uncertain_horizon(spec, 10_000, seed=1)
+
+
+# two full blocks of _ROOT_BLOCK paths and a ragged one of 7,232
+BLOCKED_PATHS = 40_000
+
+
+class TestBlockedInnerSolve:
+    @pytest.fixture(scope="class")
+    def kernel(self, spec):
+        paths = simulate_paths(spec.market, [8.0, 12.0], BLOCKED_PATHS, SEED)
+        w_T1, h_T1 = paths.column(8.0)
+        kernel = _InnerKernel(spec, h_T1, w_T1)
+        assert [s.stop - s.start for s, _ in kernel._blocks] == [
+            _ROOT_BLOCK, _ROOT_BLOCK, BLOCKED_PATHS - 2 * _ROOT_BLOCK
+        ]
+        return kernel
+
+    @staticmethod
+    def whole_array_roots(kernel, C, a=None, b=None):
+        cap = math.log(C / kernel.p)
+        lo, hi = cap - _INNER_LOG_SPAN, cap + math.log1p(-1e-13)
+        a = lo if a is None else np.clip(a, lo, hi)
+        b = hi if b is None else np.clip(b, lo, hi)
+        f = lambda u: kernel.residual(u, C)  # noqa: E731
+        return root(f, a, b, f(a), f(b))
+
+    def test_blocks_give_the_whole_array_roots(self, spec, kernel):
+        c = solve_fixed_horizon(spec, horizon=12.0).nu
+        cold = kernel._log_roots(c)
+        assert cold.tobytes() == self.whole_array_roots(kernel, c).tobytes()
+        a, b = kernel._log_roots(0.9 * c), kernel._log_roots(1.1 * c)
+        warm = kernel._log_roots(c, a, b)
+        assert warm.tobytes() == self.whole_array_roots(kernel, c, a, b).tobytes()
+
+    @pytest.mark.parametrize("x0", [100.0, 40.0], ids=["baseline", "zero-branch"])
+    def test_solution_does_not_depend_on_workers(self, market, contract, horizon, x0):
+        # more workers than cores, switching threads often: each block owns its slices
+        spec = ProblemSpec(market, contract, horizon, x0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            solutions = [
+                solve_uncertain_horizon(spec, BLOCKED_PATHS, seed=SEED, n_workers=n)
+                for n in (1, 2, 4)
+            ]
+        finally:
+            sys.setswitchinterval(interval)
+        first = solutions[0]
+        if x0 == 40.0:
+            assert 0.0 < first.zero_mask.mean() < 1.0
+        for sol in solutions[1:]:
+            assert sol.c_star == first.c_star
+            assert sol.bracket_history == first.bracket_history
+            for name in ("nu_T1", "nu_T", "wealth_T1", "wealth_T", "inner_residuals"):
+                assert getattr(sol, name).tobytes() == getattr(first, name).tobytes(), name
+
+    def test_worker_solve_leaves_no_kernel_or_thread(self, spec):
+        def kernels():
+            return sum(isinstance(o, _InnerKernel) for o in gc.get_objects())
+
+        gc.collect()
+        gc.disable()
+        try:
+            before, threads = kernels(), threading.active_count()
+            solve_uncertain_horizon(spec, BLOCKED_PATHS, seed=SEED, n_workers=2)
+            after = kernels()
+        finally:
+            gc.enable()
+        assert after == before
+        assert threading.active_count() == threads
+
+    def test_unresolved_inner_root_raises_with_workers(self, contract, horizon):
+        spec = ProblemSpec(MarketParams(mu=0.5, r=0.03, sigma=0.1), contract, horizon, 100.0)
+        with pytest.raises(InnerRootError, match="inner residual"):
+            solve_uncertain_horizon(spec, BLOCKED_PATHS, seed=1, n_workers=2)
 
 
 # theta > 0 (baseline), theta = 0 (mu = r) and theta < 0
