@@ -1,6 +1,6 @@
-"""The package's one root finder: Chandrupatla's method (Adv. Eng.
-Software 28, 1997) on brackets of monotone functions, elementwise, and a
-walk in log(multiplier) to such a bracket."""
+"""The package's scalar root finder: Chandrupatla's method (Adv. Eng.
+Software 28, 1997) on a bracket of a monotone function, and a walk in
+log(multiplier) to such a bracket."""
 
 import math
 
@@ -19,42 +19,39 @@ class ConvergenceError(RuntimeError):
         self.history = tuple(history)
 
 
-def root(f, a, b, fa, fb, xtol: float = 0.0):
-    """Roots of f on the brackets [a, b] with f(a) = fa and f(b) = fb of opposite signs.
+def root(f, a: float, b: float, fa: float, fb: float, xtol: float = 0.0) -> float:
+    """Root of f on the bracket [a, b] with f(a) = fa and f(b) = fb of opposite signs.
 
-    An element is done at an exact zero or once its bracket is narrower than
-    4 eps |x| + xtol. f is called on whole arrays, never at a bracket end
-    again. After _MAX_STEPS steps the best points are returned unchecked.
+    Done at an exact zero or once the bracket is narrower than
+    4 eps |x| + xtol. f is called on floats, never at a bracket end again.
+    After _MAX_STEPS steps the best point is returned unchecked.
     """
     # x1 newest point, x2 the other end of its bracket, x3 the point before
-    x1, f1 = np.asarray(b, dtype=float), np.asarray(fb, dtype=float)
-    x2, f2 = np.asarray(a, dtype=float), np.asarray(fa, dtype=float)
-    x3, f3 = x2, f2
+    x1, f1 = float(b), float(fb)
+    x2, f2 = float(a), float(fa)
     t = 0.5
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for step in range(_MAX_STEPS + 1):
-            near = np.abs(f1) < np.abs(f2)
-            best = np.where(near, x1, x2)
-            tol = 4.0 * _EPS * np.abs(best) + xtol
-            width = np.abs(x2 - x1)
-            active = (width >= tol) & (np.where(near, f1, f2) != 0.0)
-            if step == _MAX_STEPS or not active.any():
-                return best
-            # keep at least tol / 2 from both ends, so the bracket always shrinks
-            lim = 0.5 * tol / width
-            x = np.where(active, x1 + np.clip(t, lim, 1.0 - lim) * (x2 - x1), x1)
-            fx = np.where(active, f(x), f1)
-            same = np.sign(fx) == np.sign(f1)
-            x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
-            x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
-            x1, f1 = x, fx
-            # inverse quadratic interpolation where the last three points allow it
-            xi = (x1 - x2) / (x3 - x2)
-            phi = (f1 - f2) / (f3 - f2)
-            fits = (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
+    for step in range(_MAX_STEPS + 1):
+        best, f_best = (x1, f1) if abs(f1) < abs(f2) else (x2, f2)
+        tol = 4.0 * _EPS * abs(best) + xtol
+        width = abs(x2 - x1)
+        if step == _MAX_STEPS or not (width >= tol and f_best != 0.0):
+            return best
+        # keep at least tol / 2 from both ends, so the bracket always shrinks
+        lim = 0.5 * tol / width
+        x = x1 + min(max(t, lim), 1.0 - lim) * (x2 - x1)
+        fx = float(f(x))
+        if (fx > 0.0) - (fx < 0.0) == (f1 > 0.0) - (f1 < 0.0):
+            x3, f3 = x1, f1
+        else:
+            x3, f3, x2, f2 = x2, f2, x1, f1
+        x1, f1 = x, fx
+        # inverse quadratic interpolation where the last three points allow it
+        xi = (x1 - x2) / (x3 - x2)
+        phi = (f1 - f2) / (f3 - f2)
+        t = 0.5
+        if 0.0 <= xi <= 1.0 and 1.0 - math.sqrt(1.0 - xi) < phi < math.sqrt(xi):
             alpha = (x3 - x1) / (x2 - x1)
-            iqi = f1 / (f1 - f2) * f3 / (f3 - f2) - alpha * f1 / (f3 - f1) * f2 / (f2 - f3)
-            t = np.where(fits, iqi, 0.5)
+            t = f1 / (f1 - f2) * f3 / (f3 - f2) - alpha * f1 / (f3 - f1) * f2 / (f2 - f3)
 
 
 def log_root(value, u0: float, target: float, xtol: float = 0.0):
@@ -79,7 +76,7 @@ def log_root(value, u0: float, target: float, xtol: float = 0.0):
         u += step
         f_u = excess(u)
         if (f_u <= 0.0) if up else (f_u >= 0.0):
-            return float(root(excess, u_prev, u, f_prev, f_u, xtol)), tuple(history)
+            return root(excess, u_prev, u, f_prev, f_u, xtol), tuple(history)
     raise ConvergenceError(
         f"no sign change in {_MAX_BRACKET_STEPS} steps of log 2 from {math.exp(u0)!r}", history
     )

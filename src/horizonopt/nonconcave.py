@@ -13,6 +13,13 @@ and C is calibrated so the Monte-Carlo budget hits the initial capital.
 Paths that are too expensive to support wealth above the tangency point
 receive zero wealth and the +inf multiplier sentinel.
 
+The per-path equation is solved by safeguarded Newton in u = log nu_T1
+(``rtsafe``, Press et al., Numerical Recipes 9.4) on the live paths only:
+one sign test of the residual at the zero-branch edge, where nu_T1 H_T1
+equals the envelope slope, first sets aside the paths whose root lies
+beyond it. Newton starts from log C, or, inside the calibration of C,
+from the roots kept at the nearest evaluated C on either side.
+
 The fixed-horizon problem (no interior stopping mass) is the degenerate
 case with a deterministic terminal multiplier. Both calibrations are one
 scalar root of a budget that decreases in the log of the multiplier,
@@ -32,7 +39,7 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.special import ndtr
 
-from ._roots import ConvergenceError, log_root, root
+from ._roots import _EPS, _MAX_STEPS, ConvergenceError, log_root
 from .market import (
     DENSITY_RTOL,
     HorizonDistribution,
@@ -67,7 +74,7 @@ _LOG_XTOL = 4e-13
 _INNER_RESIDUAL_RTOL = 1e-10
 # The inner solve splits more paths than this into blocks of this many: a
 # block's arrays stay in the per-core L2 cache, and blocks can run on worker
-# threads. ``root`` is elementwise, so the roots depend on neither the block
+# threads. Newton is elementwise, so the roots depend on neither the block
 # size nor the worker count.
 _ROOT_BLOCK = 16_384
 
@@ -162,9 +169,10 @@ class _Continuation:
         V = scale nu_T^(-1/gamma) h^(-1/gamma) g(q, t, T) - shift g(1, t, T),
 
     where g is the truncated moment of ``market.g_factor``. The per-path
-    constants are computed once; ``value`` and ``delta`` take log nu_T.
-    When the truncation event is known at t (theta = 0, or t = T) each g
-    is f times the indicator of {nu_T H_T <= slope}, as in g_factor.
+    constants are computed once; ``value``, ``value_and_slope`` and
+    ``delta`` take log nu_T. When the truncation event is known at t
+    (theta = 0, or t = T) each g is f times the indicator of
+    {nu_T H_T <= slope}, as in g_factor.
     """
 
     def __init__(self, spec: ProblemSpec, t: float, T: float, w, h):
@@ -184,10 +192,10 @@ class _Continuation:
         self.f_1 = float(f_factor(1.0, t, T, m))
         self.s_dt = abs(m.theta) * math.sqrt(T - t)
 
-    def part(self, s: slice):
-        """The same claim on the paths s; its per-path constants are views."""
+    def part(self, rows):
+        """The same claim on the paths ``rows``: views for a slice, copies for indices."""
         part = copy.copy(self)
-        part.h_pow, part.edge = self.h_pow[s], self.edge[s]
+        part.h_pow, part.edge = self.h_pow[rows], self.edge[rows]
         return part
 
     def _z(self, log_nu):
@@ -195,23 +203,36 @@ class _Continuation:
         z = (self.edge - log_nu) / self.s_dt
         return z - self.q * self.s_dt, z - self.s_dt
 
+    def _lead(self, log_nu):
+        """scale nu_T^(-1/gamma) h^(-1/gamma) f_q, the first term before truncation."""
+        return self.scale * np.exp(-log_nu / self.gamma) * self.h_pow * self.f_q
+
     def value(self, log_nu):
-        lead = self.scale * np.exp(-log_nu / self.gamma) * self.h_pow
+        lead = self._lead(log_nu)
         if self.s_dt == 0.0:
-            return (lead * self.f_q - self.shift * self.f_1) * (self.edge >= log_nu)
+            return (lead - self.shift * self.f_1) * (self.edge >= log_nu)
         z_q, z_1 = self._z(log_nu)
-        return lead * self.f_q * ndtr(z_q) - self.shift * self.f_1 * ndtr(z_1)
+        return lead * ndtr(z_q) - self.shift * self.f_1 * ndtr(z_1)
+
+    def value_and_slope(self, log_nu):
+        """V and dV/d log nu_T: the lead falls at 1/gamma, both z at 1/s_dt.
+
+        ``value`` stays separate: without the two densities it costs about 40% less.
+        """
+        lead = self._lead(log_nu)
+        if self.s_dt == 0.0:
+            alive = self.edge >= log_nu
+            return (lead - self.shift * self.f_1) * alive, -lead / self.gamma * alive
+        z_q, z_1 = self._z(log_nu)
+        n_q = ndtr(z_q)
+        value = lead * n_q - self.shift * self.f_1 * ndtr(z_1)
+        return value, -lead * n_q / self.gamma - (
+            lead * norm_pdf(z_q) - self.shift * self.f_1 * norm_pdf(z_1)
+        ) / self.s_dt
 
     def delta(self, log_nu):
-        """dV/dw: h^(-1/gamma) moves at theta/gamma, both z at theta/s_dt."""
-        lead = self.scale * np.exp(-log_nu / self.gamma) * self.h_pow
-        myopic = self.theta / self.gamma * lead * self.f_q
-        if self.s_dt == 0.0:
-            return myopic * (self.edge >= log_nu)
-        z_q, z_1 = self._z(log_nu)
-        return myopic * ndtr(z_q) + self.theta / self.s_dt * (
-            lead * self.f_q * norm_pdf(z_q) - self.shift * self.f_1 * norm_pdf(z_1)
-        )
+        """dV/dw = -theta dV/d log nu_T: h^(-1/gamma) and the edge both move with theta w."""
+        return -self.theta * self.value_and_slope(log_nu)[1]
 
 
 def solve_fixed_horizon(spec: ProblemSpec, horizon: float | None = None) -> FixedHorizonSolution:
@@ -241,34 +262,32 @@ def solve_fixed_horizon(spec: ProblemSpec, horizon: float | None = None) -> Fixe
     return FixedHorizonSolution(nu=nu, budget_residual=residual, horizon=horizon)
 
 
-def _within(x, lo: float, hi: float):
-    """x clipped to [lo, hi]; x itself, not a copy, when it lies inside."""
-    return x if lo <= x.min() and x.max() <= hi else np.clip(x, lo, hi)
-
-
-def _rows(x, s: slice):
-    """The paths s of a per-path array; a scalar is the same on every path."""
-    return x if np.ndim(x) == 0 else x[s]
-
-
 class _InnerKernel:
     """Vectorized solve of the implicit per-path multiplier equation.
 
-    Parametrized by the stop-date multiplier x = nu_T1 on (0, C/p); the
-    terminal multiplier follows from the constancy relation. The residual
+    Parametrized by u = log x with the stop-date multiplier x = nu_T1 in
+    (0, C/p); the terminal multiplier follows from the constancy relation.
+    The residual
 
-        F(x) = wealth-from-subdifferential(x H_T1) - priced continuation(nu_T(x))
+        F(u) = wealth-from-subdifferential(x H_T1) - priced continuation(nu_T(x))
 
-    is strictly decreasing with F(0+) = +inf and F((C/p)-) = -inf, so
-    ``root`` refines a bracket in log x to the unique root. A root with
-    x H_T1 above the envelope slope at the tangency point is inconsistent
-    with positive wealth: that path takes the zero-wealth branch.
+    is strictly decreasing with F(-inf) = +inf and F(log(C/p)) = -inf, and
+    its slope F_u = -S/gamma + dV/d(log nu_T) p x/(C - p x), with S the
+    first term of the wealth, is closed form. A root with x H_T1 above the
+    envelope slope at the tangency point is inconsistent with positive
+    wealth: that path takes the zero-wealth branch. So each solve first
+    evaluates F at top = min(hi, log(slope/H_T1)) on every path; where F(top)
+    is positive the path is on the zero branch and gets log x = +inf, so
+    that x H_T1 > slope. Safeguarded Newton then runs on the other, live
+    paths inside [lo, top], each Newton point outside that closed bracket
+    replaced by its midpoint, until |F/F_u| <= 4 eps max(1, |u|).
 
     F also increases in C (nu_T = (C - p x)/(1 - p) rises with C), so the
-    root x*(C) increases in C on every path. ``budget`` uses this for warm
-    starts: it keeps the roots at the largest C evaluated so far whose
-    budget exceeded x0 and at the smallest whose budget did not, which
-    bracket the calibrated C. ``solve`` always starts from the cold bracket.
+    root x*(C) increases in C on every path. ``budget`` keeps the roots at
+    the largest C evaluated so far whose budget exceeded x0 and at the
+    smallest whose budget did not, and starts Newton from them, interpolated
+    linearly in log C. ``solve`` starts from log C, so its roots depend on
+    (H_T1, W_T1, C) alone.
 
     More than _ROOT_BLOCK paths are solved in blocks of _ROOT_BLOCK paths,
     on the threads of ``pool`` when one is given. Every root is the one the
@@ -280,11 +299,13 @@ class _InnerKernel:
         t1, self.p = spec.horizon.single_stop()
         self.h_T1 = np.asarray(h_T1, dtype=float)
         self.claim = _Continuation(spec, t1, spec.horizon.terminal, w_T1, self.h_T1)
+        # log x where x H_T1 meets the envelope slope; the zero branch lies above
+        self.zero_edge = np.log(self.claim.slope / self.h_T1)
         self._low = None  # (C, log x*(C)) with budget(C) > x0
         self._high = None  # (C, log x*(C)) with budget(C) <= x0
         n = self.h_T1.size
-        # (paths, claim on those paths) per block; None: one whole-array solve
-        self._blocks = None if n <= _ROOT_BLOCK else [
+        # (paths, claim on those paths) per block
+        self._blocks = [(slice(0, n), self.claim)] if n <= _ROOT_BLOCK else [
             (s, self.claim.part(s))
             for s in (slice(i, min(i + _ROOT_BLOCK, n)) for i in range(0, n, _ROOT_BLOCK))
         ]
@@ -295,70 +316,103 @@ class _InnerKernel:
         return self.claim.value(np.log(nu_T))
 
     def residual(self, log_x, C: float, claim: _Continuation | None = None):
-        """F at log x on every path, or on the paths of ``claim``, a block's part."""
+        """F at log x on every path, or on the paths of ``claim``, a part of the kernel's."""
         claim = self.claim if claim is None else claim
         x = np.exp(log_x)
         log_nu_T = np.log((C - self.p * x) / (1.0 - self.p))
         stop_wealth = claim.scale * np.exp(-log_x / claim.gamma) * claim.h_pow - claim.shift
         return stop_wealth - claim.value(log_nu_T)
 
-    def _log_roots(self, C: float, a=None, b=None):
-        """Per-path log x*(C), refined by ``root`` on [a, b].
+    def residual_and_slope(self, log_x, C: float, claim: _Continuation):
+        """F and dF/d log x on the paths of ``claim``; log nu_T falls at p x/(C - p x)."""
+        x = np.exp(log_x)
+        rest = C - self.p * x
+        value, slope = claim.value_and_slope(np.log(rest / (1.0 - self.p)))
+        lead = claim.scale * np.exp(-log_x / claim.gamma) * claim.h_pow
+        return lead - claim.shift - value, slope * (self.p * x / rest) - lead / claim.gamma
 
-        An end left None is the cold one: 69 below, or just under, log(C/p).
-        Warm ends are clipped into that cold bracket. If rounding leaves a
-        path without a sign change on a warm bracket, the cold bracket is
-        used instead; on the cold bracket that raises InnerRootError.
-        In blocks, all residuals at the ends are formed before the one sign
-        check over all paths, and only then does ``root`` run on each block.
+    def _bracket(self, C: float):
+        """lo and hi in log x: 69 below, and just under, the cap log(C/p)."""
+        cap = math.log(C / self.p)
+        return cap - _INNER_LOG_SPAN, cap + math.log1p(-1e-13)
+
+    def _log_roots(self, C: float, start):
+        """Per-path log x*(C), Newton from ``start`` (scalar or per path); +inf on the zero branch.
+
+        In each block, F at top sets the zero-branch paths aside, and F at
+        lo = log(C/p) - 69 must be positive on the others. Both are checked
+        over all paths, raising InnerRootError, before Newton runs per block.
         """
         if not (C > 0.0):
             raise ValueError(f"multiplier constant must be positive, got {C}")
-        cap = math.log(C / self.p)
-        lo, hi = cap - _INNER_LOG_SPAN, cap + math.log1p(-1e-13)
-        warm = a is not None or b is not None
-        a = lo if a is None else _within(a, lo, hi)
-        b = hi if b is None else _within(b, lo, hi)
-        blocks = self._blocks
-        if blocks is None:
-            f_a = self.residual(a, C)
-            f_b = self.residual(b, C)
-        else:
-            f_a, f_b = np.empty(self.h_T1.size), np.empty(self.h_T1.size)
+        lo, hi = self._bracket(C)
 
-            def ends(block):
-                s, claim = block
-                f_a[s] = self.residual(_rows(a, s), C, claim)
-                f_b[s] = self.residual(_rows(b, s), C, claim)
+        def classify(block):
+            s, claim = block
+            edge = self.zero_edge[s]
+            live = self.residual(np.minimum(edge, hi), C, claim) <= 0.0
+            # F(hi) > 0: no root below the cap, which is no zero branch either
+            unresolved = np.count_nonzero(~live & (edge >= hi)) + np.count_nonzero(
+                self.residual(lo, C, claim.part(live)) <= 0.0
+            )
+            return live, unresolved
 
-            list(self._map(ends, blocks))
-        bad = (f_a <= 0.0) | (f_b >= 0.0)
-        if np.any(bad):
-            if warm:
-                return self._log_roots(C)
+        classified = list(self._map(classify, self._blocks))
+        unresolved = sum(n for _, n in classified)
+        if unresolved:
             raise InnerRootError(
                 f"no sign change on the feasible multiplier interval for "
-                f"{int(bad.sum())} of {bad.size} paths at C={C!r}"
+                f"{unresolved} of {self.h_T1.size} paths at C={C!r}"
             )
-        if blocks is None:
-            return root(lambda u: self.residual(u, C), a, b, f_a, f_b)
-        log_x = np.empty(self.h_T1.size)
+        log_x = np.full(self.h_T1.size, np.inf)
 
-        def refine(block):
+        def refine(block, live):
             s, claim = block
-            log_x[s] = root(
-                lambda u: self.residual(u, C, claim), _rows(a, s), _rows(b, s), f_a[s], f_b[s]
-            )
+            top = np.minimum(self.zero_edge[s][live], hi)
+            u = np.clip(start if np.ndim(start) == 0 else start[s][live], lo, top)
+            log_x[s][live] = self._newton(C, claim.part(live), u, lo, top)
 
-        list(self._map(refine, blocks))
+        list(self._map(refine, self._blocks, (live for live, _ in classified)))
         return log_x
 
+    def _newton(self, C: float, claim: _Continuation, u, lo: float, top):
+        """Roots of F on [lo, top] from u, for F(lo) > 0 >= F(top) on the paths of ``claim``.
+
+        Each step moves a bracket end to u by the sign of F(u), then takes the
+        Newton point, or the bracket midpoint where that leaves the closed
+        bracket. A path is done, at its last Newton point, once that step is
+        at most 4 eps max(1, |u|) or F(u) is exactly 0; it then leaves the
+        arrays. After _MAX_STEPS steps the last points are returned unchecked.
+        """
+        roots = np.empty_like(u)
+        rows = np.arange(u.size)
+        a, b = np.full_like(u, lo), top
+        for _ in range(_MAX_STEPS):
+            f, f_u = self.residual_and_slope(u, C, claim)
+            step = f / f_u
+            above = f > 0.0
+            a, b = np.where(above, u, a), np.where(above, b, u)
+            nxt = u - step
+            nxt = np.where((a <= nxt) & (nxt <= b), nxt, 0.5 * (a + b))
+            done = (np.abs(step) <= 4.0 * _EPS * np.maximum(1.0, np.abs(u))) | (f == 0.0)
+            if done.all():
+                roots[rows] = nxt
+                return roots
+            if done.any():
+                roots[rows[done]] = nxt[done]
+                keep = np.flatnonzero(~done)
+                rows, nxt, a, b, claim = rows[keep], nxt[keep], a[keep], b[keep], claim.part(keep)
+            u = nxt
+        roots[rows] = u
+        return roots
+
     def solve(self, C: float):
-        """Per-path root from the cold bracket, zero-branch detection, wealth and residuals."""
-        log_x = self._log_roots(C)
+        """Per-path root from log C, zero-branch detection, wealth and residuals."""
+        log_x = self._log_roots(C, math.log(C))
         x = np.exp(log_x)
         nu_T = (C - self.p * x) / (1.0 - self.p)
-        residuals = self.residual(log_x, C)
+        with np.errstate(invalid="ignore"):  # nan, from log(-inf), on the zero branch
+            residuals = self.residual(log_x, C)
 
         zero = x * self.h_T1 > self.claim.slope
         nu_T1_out = np.where(zero, np.inf, x)
@@ -366,16 +420,33 @@ class _InnerKernel:
         wealth = inverse_marginal(self.spec.contract, nu_T1_out * self.h_T1)
         return nu_T1_out, nu_T_out, wealth, residuals, zero
 
-    def budget(self, C: float) -> float:
-        """Monte-Carlo budget mean(H_T1 wealth_T1) at C, warm-started.
+    def _start(self, C: float):
+        """Newton start at C from the kept roots on either side of C.
 
-        The roots at the kept C below and above C bracket the roots at C.
+        Linear in log C between the two, the finite one where the root above
+        C is on the zero branch (+inf) or only one side is kept, and log C
+        where none is kept or the kept root lies at or above hi: there, next
+        to the cap, Newton in log x only creeps away from it.
+        """
+        low = self._low[1] if self._low and self._low[0] < C else None
+        high = self._high[1] if self._high and self._high[0] > C else None
+        if low is None and high is None:
+            return math.log(C)
+        if low is None or high is None:
+            start = high if low is None else low
+        else:
+            w = math.log(C / self._low[0]) / math.log(self._high[0] / self._low[0])
+            with np.errstate(invalid="ignore"):  # inf - inf where both are on the zero branch
+                start = np.where(np.isfinite(high), low + w * (high - low), low)
+        return np.where(start < self._bracket(C)[1], start, math.log(C))
+
+    def budget(self, C: float) -> float:
+        """Monte-Carlo budget mean(H_T1 wealth_T1) at C, Newton started from the kept roots.
+
         Only the wealth is formed: inverse_marginal already gives zero above
         the envelope slope, so no multiplier or residual array is built.
         """
-        a = self._low[1] if self._low and self._low[0] < C else None
-        b = self._high[1] if self._high and self._high[0] > C else None
-        log_x = self._log_roots(C, a, b)
+        log_x = self._log_roots(C, self._start(C))
         wealth = inverse_marginal(self.spec.contract, np.exp(log_x) * self.h_T1)
         value = float(np.mean(self.h_T1 * wealth))
         if value > self.spec.x0:
@@ -421,9 +492,9 @@ def solve_uncertain_horizon(
     The budget estimate mean(H_T1 * wealth_T1) is monotone decreasing in C
     (larger multipliers buy less wealth), so ``log_root`` finds its root in
     log C from the fixed-horizon multiplier, to 4e-13 in log C. Each
-    distinct C costs one inner solve, warm-started from the roots at the
+    distinct C costs one inner solve, Newton started from the roots at the
     nearest C evaluated so far, and one entry of ``bracket_history``; the
-    solve at the calibrated C starts cold.
+    solve at the calibrated C starts from log C.
     The reported residual must end up within budget_tol or a
     ConvergenceError with the full evaluation history is raised. A final
     per-path inner residual above 1e-10 max(wealth_T1, 1) on a path with

@@ -7,6 +7,7 @@ solver as the limit oracle for vanishing stopping probability.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import gc
 import math
@@ -34,9 +35,8 @@ from horizonopt import (
     strategy_at,
     wealth_at,
 )
-from horizonopt._roots import log_root, root
+from horizonopt._roots import log_root
 from horizonopt.nonconcave import (
-    _INNER_LOG_SPAN,
     _ROOT_BLOCK,
     ConvergenceError,
     InnerRootError,
@@ -312,18 +312,44 @@ class TestCalibration:
     def test_warm_starts_bound_residual_evaluations(
         self, monkeypatch, market, contract, horizon, x0, n_paths, seed, most
     ):
-        # a count, not a timing: cold brackets for every budget take 136 and 854;
-        # a call on one block of paths counts as its share of a whole evaluation
+        # a count, not a timing: Chandrupatla from the cold bracket at every budget
+        # took 136 and 854. A call on some of the paths counts as its share of a
+        # whole evaluation, and a residual with its slope as 1.5 residuals.
         calls = []
-        residual = _InnerKernel.residual
 
-        def counted(self, log_x, C, *block):
-            calls.append(np.size(log_x) / n_paths)
-            return residual(self, log_x, C, *block)
+        def counted(name, weight):
+            method = getattr(_InnerKernel, name)
 
-        monkeypatch.setattr(_InnerKernel, "residual", counted)
+            def call(self, log_x, C, claim=None):
+                paths = self.h_T1.size if claim is None else claim.h_pow.size
+                calls.append(weight * paths / n_paths)
+                return method(self, log_x, C, claim)
+
+            monkeypatch.setattr(_InnerKernel, name, call)
+
+        counted("residual", 1.0)
+        counted("residual_and_slope", 1.5)
         solve_uncertain_horizon(ProblemSpec(market, contract, horizon, x0), n_paths, seed=seed)
         assert 0 < sum(calls) <= most
+
+    def test_every_newton_solve_takes_few_steps(self, monkeypatch, market, contract, horizon):
+        # x0 = 5: many roots at the first C lie above the cap of the next, smaller C;
+        # started there, Newton in log x would creep away from the cap for 20-odd steps
+        steps = []
+        newton, residual_and_slope = _InnerKernel._newton, _InnerKernel.residual_and_slope
+
+        def counted_newton(self, *args):
+            steps.append(0)
+            return newton(self, *args)
+
+        def counted_step(self, *args):
+            steps[-1] += 1
+            return residual_and_slope(self, *args)
+
+        monkeypatch.setattr(_InnerKernel, "_newton", counted_newton)
+        monkeypatch.setattr(_InnerKernel, "residual_and_slope", counted_step)
+        solve_uncertain_horizon(ProblemSpec(market, contract, horizon, 5.0), 10_000, seed=1)
+        assert steps and max(steps) <= 8
 
     def test_baseline_needs_few_budget_evaluations(self, spec):
         sol = solve_uncertain_horizon(spec, 10_000, seed=1)
@@ -391,22 +417,18 @@ class TestBlockedInnerSolve:
         ]
         return kernel
 
-    @staticmethod
-    def whole_array_roots(kernel, C, a=None, b=None):
-        cap = math.log(C / kernel.p)
-        lo, hi = cap - _INNER_LOG_SPAN, cap + math.log1p(-1e-13)
-        a = lo if a is None else np.clip(a, lo, hi)
-        b = hi if b is None else np.clip(b, lo, hi)
-        f = lambda u: kernel.residual(u, C)  # noqa: E731
-        return root(f, a, b, f(a), f(b))
-
     def test_blocks_give_the_whole_array_roots(self, spec, kernel):
-        c = solve_fixed_horizon(spec, horizon=12.0).nu
-        cold = kernel._log_roots(c)
-        assert cold.tobytes() == self.whole_array_roots(kernel, c).tobytes()
-        a, b = kernel._log_roots(0.9 * c), kernel._log_roots(1.1 * c)
-        warm = kernel._log_roots(c, a, b)
-        assert warm.tobytes() == self.whole_array_roots(kernel, c, a, b).tobytes()
+        whole = copy.copy(kernel)
+        whole._blocks = [(slice(0, BLOCKED_PATHS), kernel.claim)]
+        c_fixed = solve_fixed_horizon(spec, horizon=12.0).nu
+        # every path live, and 2% of them on the zero branch
+        for c in (c_fixed, 100.0 * c_fixed):
+            cold = kernel._log_roots(c, math.log(c))
+            assert cold.tobytes() == whole._log_roots(c, math.log(c)).tobytes()
+            start = 0.5 * (kernel._log_roots(0.9 * c, 0.0) + kernel._log_roots(1.1 * c, 0.0))
+            warm = kernel._log_roots(c, start)
+            assert warm.tobytes() == whole._log_roots(c, start).tobytes()
+            np.testing.assert_allclose(warm, cold, rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize("x0", [100.0, 40.0], ids=["baseline", "zero-branch"])
     def test_solution_does_not_depend_on_workers(self, market, contract, horizon, x0):
@@ -449,6 +471,43 @@ class TestBlockedInnerSolve:
         spec = ProblemSpec(MarketParams(mu=0.5, r=0.03, sigma=0.1), contract, horizon, 100.0)
         with pytest.raises(InnerRootError, match="inner residual"):
             solve_uncertain_horizon(spec, BLOCKED_PATHS, seed=1, n_workers=2)
+
+
+# low capital: 6-89% of paths on the zero-wealth branch
+ZERO_BRANCH_PROBLEMS = [(3.0, 5.0), (3.0, 20.0), (3.0, 40.0), (0.5, 5.0), (0.5, 20.0), (0.5, 60.0)]
+
+
+class TestInnerRootBracketing:
+    @pytest.mark.parametrize(
+        "gamma, x0", ZERO_BRANCH_PROBLEMS, ids=[f"gamma{g}-x0{x}" for g, x in ZERO_BRANCH_PROBLEMS]
+    )
+    def test_roots_bracket_and_zero_paths_lie_beyond_the_edge(self, market, horizon, gamma, x0):
+        contract = ContractUtility(PowerUtility(gamma), 0.25, 50.0, 1.0)
+        spec = ProblemSpec(market, contract, horizon, x0)
+        sol = solve_uncertain_horizon(spec, 10_000, seed=1)
+        kernel = _InnerKernel(spec, sol.h_T1, sol.w_T1)
+        live, c = ~sol.zero_mask, sol.c_star
+        assert 0 < live.sum() < live.size
+        # a sign change within 1e-9 of every live root
+        u = np.log(sol.nu_T1[live])
+        d = 1e-9 * np.maximum(1.0, np.abs(u))
+        claim = kernel.claim.part(np.flatnonzero(live))
+        assert np.all(kernel.residual(u - d, c, claim) > 0.0)
+        assert np.all(kernel.residual(u + d, c, claim) < 0.0)
+        # every zero path still has F > 0 where x H_T1 reaches the envelope slope
+        zero = np.flatnonzero(~live)
+        assert np.all(kernel.residual(kernel.zero_edge[zero], c, kernel.claim.part(zero)) > 0.0)
+        # Newton iterates on live paths only
+        seen = []
+        residual_and_slope = _InnerKernel.residual_and_slope
+
+        def recorded(self, log_x, C, claim):
+            seen.append(claim.h_pow)
+            return residual_and_slope(self, log_x, C, claim)
+
+        kernel.residual_and_slope = recorded.__get__(kernel)
+        kernel.solve(c)
+        assert seen and np.all(np.isin(np.concatenate(seen), kernel.claim.h_pow[live]))
 
 
 # theta > 0 (baseline), theta = 0 (mu = r) and theta < 0
@@ -522,6 +581,17 @@ class TestContinuation:
         fd = (value(step) - value(-step)) / (2.0 * step)
         delta = _Continuation(spec, 10.5, 12.0, w, h).delta(log_nu)
         np.testing.assert_allclose(delta, fd, rtol=1e-6, atol=0.0)
+
+    @pytest.mark.parametrize("market", THETA_MARKETS, ids=["theta>0", "theta=0", "theta<0"])
+    def test_slope_is_derivative_of_value(self, market, contract, horizon):
+        spec = ProblemSpec(market, contract, horizon, 100.0)
+        w, h, nu = self.states(contract, market, 10.5)
+        claim = _Continuation(spec, 10.5, 12.0, w, h)
+        log_nu, step = np.log(nu), 1e-5
+        fd = (claim.value(log_nu + step) - claim.value(log_nu - step)) / (2.0 * step)
+        value, slope = claim.value_and_slope(log_nu)
+        assert value.tobytes() == claim.value(log_nu).tobytes()
+        np.testing.assert_allclose(slope, fd, rtol=1e-6, atol=0.0)
 
     def test_solver_at_zero_theta(self, contract, horizon):
         flat = ProblemSpec(THETA_MARKETS[1], contract, horizon, 100.0)

@@ -22,11 +22,13 @@ def test_root_mixes_increasing_and_decreasing_functions():
     a = np.array([0.0, 0.0, 10.0, 0.0, 10.0, 10.0])  # some brackets run backwards
     b = 10.0 - a
 
-    def f(x):
-        return sign * (x - r) * (1.0 + x * x)  # the sign is exact in floating point
+    for r_i, sign_i, a_i, b_i in zip(r, sign, a, b):
 
-    x = root(f, a, b, f(a), f(b))
-    assert np.all(np.abs(x - r) <= 4 * EPS * np.abs(x))
+        def f(x):
+            return sign_i * (x - r_i) * (1.0 + x * x)  # the sign is exact in floating point
+
+        x = root(f, a_i, b_i, f(a_i), f(b_i))
+        assert abs(x - r_i) <= 4 * EPS * abs(x)
 
 
 def test_root_finds_the_jump_of_a_step_function():
