@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -354,3 +355,69 @@ class TestWriteCsv:
         path = tmp_path / "t.csv"
         cli._write_csv(path, {"p1": [], "ce": []})
         assert path.read_bytes() == b"p1,ce\n"
+
+    def test_ragged_table_raises_and_writes_nothing(self, tmp_path):
+        with pytest.raises(ValueError, match="different lengths"):
+            cli._write_csv(tmp_path / "t.csv", {"a": [1, 2], "b": [1.0]})
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "n", [3 * cli._PART_ROWS + 5, 2 * cli._PART_ROWS - 1, 2 * cli._PART_ROWS]
+    )
+    def test_parts_give_the_same_bytes(self, monkeypatch, tmp_path, n):
+        edges = [math.inf, math.nan, -0.0, 1e-300, 1e16, -math.inf]
+        x = np.random.default_rng(n).standard_normal(n) * 1e3
+        x[: len(edges)] = edges
+        x[-len(edges):] = edges
+        y = x[::-1] / 7.0
+        table = {"path": np.arange(n), "x": x, "y": y}
+        expected = b"path,x,y\n" + "".join(
+            "%s,%.12g,%.12g\n" % cells for cells in zip(range(n), x.tolist(), y.tolist())
+        ).encode()
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(n) or fork())
+        for workers in (1, 2, 3, 4):
+            path = tmp_path / f"w{workers}.csv"
+            cli._write_csv(path, table, workers)
+            assert path.read_bytes() == expected
+            assert len(forks) == max(1, min(workers, n // cli._PART_ROWS)) - 1
+            forks.clear()
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names == ["w1.csv", "w2.csv", "w3.csv", "w4.csv"]
+
+    def test_small_tables_never_fork(self, monkeypatch, tmp_path):
+        def no_fork():
+            raise AssertionError("forked for a small table")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        n = 2 * cli._PART_ROWS - 1
+        cli._write_csv(tmp_path / "a.csv", {"path": np.arange(n), "x": np.zeros(n)}, 4)
+        cli._write_csv(tmp_path / "b.csv", {"experiment": "merton", "ce": 1.5}, 4)
+        assert (tmp_path / "b.csv").read_bytes() == b"experiment,ce\nmerton,1.5\n"
+
+    class Unprintable:
+        def __str__(self):
+            raise RuntimeError("unprintable cell")
+
+    def unprintable_at(self, n, i):
+        cells = np.arange(n).astype(object)
+        cells[i] = self.Unprintable()
+        return {"cell": cells, "x": np.ones(n)}
+
+    def test_failing_child_raises_and_leaves_nothing(self, tmp_path):
+        # the last cell lies in the child's part
+        n = 2 * cli._PART_ROWS
+        with pytest.raises(OSError, match="failed"):
+            cli._write_csv(tmp_path / "t.csv", self.unprintable_at(n, n - 1), 2)
+        assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_failing_parent_part_reaps_children(self, tmp_path):
+        n = 3 * cli._PART_ROWS
+        with pytest.raises(RuntimeError, match="unprintable"):
+            cli._write_csv(tmp_path / "t.csv", self.unprintable_at(n, 0), 3)
+        assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)

@@ -293,7 +293,7 @@ class TestCalibration:
             cold = _InnerKernel(spec, sol.h_T1, sol.w_T1).budget(c)
             assert warm.budget(c) == pytest.approx(cold, rel=1e-13, abs=0.0)
 
-    def test_warm_bracket_without_sign_change_falls_back_to_cold(self, spec, small_solution):
+    def test_newton_from_wrong_kept_roots_gives_cold_budget(self, spec, small_solution):
         sol = small_solution
         c = sol.c_star
         cold = _InnerKernel(spec, sol.h_T1, sol.w_T1).budget(c)
@@ -302,7 +302,8 @@ class TestCalibration:
         kernel.budget(2.0 * c)
         (c_low, _), (c_high, roots_high) = kernel._low, kernel._high
         assert c_low < c < c_high
-        # both ends at the roots of 2c lie above every root at c: no sign change
+        # both kept roots are those of 2c, above every root at c, so each Newton
+        # start lies on the wrong side; the budget still equals the cold one bit for bit
         kernel._low = (c_low, roots_high)
         assert kernel.budget(c) == cold
 
