@@ -369,6 +369,7 @@ def _run_figure1(cfg: ExperimentConfig, out: Path) -> str:
         raise ConfigError("figure1-sweep needs a non-empty spread_grid")
     t_tilde = cfg.t_tilde
     rows = []
+    c_start = None  # each calibration starts from the previous grid point's C
     for d in cfg.spread_grid:
         t1 = t_tilde - d
         T = t_tilde + d * p / (1.0 - p)
@@ -377,8 +378,10 @@ def _run_figure1(cfg: ExperimentConfig, out: Path) -> str:
         horizon = HorizonDistribution([t1], [p], T)
         spec = ProblemSpec(cfg.market, cfg.contract, horizon, cfg.x0)
         sol = solve_uncertain_horizon(
-            spec, cfg.n_paths, cfg.seed, budget_tol=cfg.budget_tol, n_workers=cfg.workers
+            spec, cfg.n_paths, cfg.seed, budget_tol=cfg.budget_tol, n_workers=cfg.workers,
+            c_start=c_start,
         )
+        c_start = sol.c_star
         comparison = compare_to_fixed(spec, sol, t_tilde)
         rows.append({
             "spread": d, "t1": t1, "terminal": T, "var_tau": horizon.stop_variance,
@@ -400,14 +403,15 @@ def _run_figure2(cfg: ExperimentConfig, out: Path) -> str:
     T = cfg.horizon.terminal
     paths = simulate_paths(cfg.market, [t1, T], cfg.n_paths, cfg.seed, n_workers=cfg.workers)
     rows = []
-    prev = None
+    prev = c_start = None  # each calibration starts from the previous grid point's C
     for p in cfg.prob_grid:
         horizon = HorizonDistribution([t1], [p], T)
         spec = ProblemSpec(cfg.market, cfg.contract, horizon, cfg.x0)
         sol = solve_uncertain_horizon(
             spec, cfg.n_paths, cfg.seed, budget_tol=cfg.budget_tol, paths=paths,
-            n_workers=cfg.workers,
+            n_workers=cfg.workers, c_start=c_start,
         )
+        c_start = sol.c_star
         sset = stopped_samples(spec, sol)
         values = payoff_value(cfg.contract, sset.wealth)
         eu = mean_se(values)

@@ -18,13 +18,18 @@ The per-path equation is solved by safeguarded Newton in u = log nu_T1
 one sign test of the residual at the zero-branch edge, where nu_T1 H_T1
 equals the envelope slope, first sets aside the paths whose root lies
 beyond it. Newton starts from log C, or, inside the calibration of C,
-from the roots kept at the nearest evaluated C on either side.
+from the roots kept at the nearest evaluated C: interpolated between the
+two sides, or along each root's tangent in log C where one side is kept.
 
 The fixed-horizon problem (no interior stopping mass) is the degenerate
 case with a deterministic terminal multiplier. Both calibrations are one
 scalar root of a budget that decreases in the log of the multiplier,
-found by ``_roots.log_root``: steps of log 2 to a sign change, then
-Chandrupatla's method on that step.
+found by ``_roots.log_root``. The fixed-horizon multiplier takes steps of
+log 2 to a sign change, then Chandrupatla's method on that step. C takes
+safeguarded Newton steps on the exact slope dB/dlog C of the Monte-Carlo
+budget, which the inner solve yields path by path; where the budget's
+jumps, from paths that change branch, stop Newton from halving the
+excess, Chandrupatla's method takes over on the bracket.
 """
 
 from __future__ import annotations
@@ -283,15 +288,19 @@ class _InnerKernel:
     replaced by its midpoint, until |F/F_u| <= 4 eps max(1, |u|).
 
     F also increases in C (nu_T = (C - p x)/(1 - p) rises with C), so the
-    root x*(C) increases in C on every path. ``budget`` keeps the roots at
+    root x*(C) increases in C on every path, at the rate du/dlog C =
+    -F_C/F_u, which the last Newton step gives for free. ``budget_and_slope``
+    returns the budget and its exact slope dB/dlog C, and keeps the roots at
     the largest C evaluated so far whose budget exceeded x0 and at the
-    smallest whose budget did not, and starts Newton from them, interpolated
-    linearly in log C. ``solve`` starts from log C, so its roots depend on
-    (H_T1, W_T1, C) alone.
+    smallest whose budget did not. It starts Newton from them, interpolated
+    linearly in log C, or, while only one side is kept, from that side's
+    roots moved along their tangents du/dlog C. ``solve`` starts from log C,
+    so its roots depend on (H_T1, W_T1, C) alone.
 
     More than _ROOT_BLOCK paths are solved in blocks of _ROOT_BLOCK paths,
     on the threads of ``pool`` when one is given. Every root is the one the
-    whole array would give, so the output does not depend on the pool.
+    whole array would give, and the slope adds the blocks' sums in block
+    order, so the output does not depend on the pool.
     """
 
     def __init__(self, spec: ProblemSpec, h_T1, w_T1, pool: ThreadPoolExecutor | None = None):
@@ -303,6 +312,7 @@ class _InnerKernel:
         self.zero_edge = np.log(self.claim.slope / self.h_T1)
         self._low = None  # (C, log x*(C)) with budget(C) > x0
         self._high = None  # (C, log x*(C)) with budget(C) <= x0
+        self._du = None  # du/dlog C at the roots of the one kept side, used up by _start
         n = self.h_T1.size
         # (paths, claim on those paths) per block
         self._blocks = [(slice(0, n), self.claim)] if n <= _ROOT_BLOCK else [
@@ -337,11 +347,26 @@ class _InnerKernel:
         return cap - _INNER_LOG_SPAN, cap + math.log1p(-1e-13)
 
     def _log_roots(self, C: float, start):
-        """Per-path log x*(C), Newton from ``start`` (scalar or per path); +inf on the zero branch.
+        """Per-path log x*(C), Newton from ``start`` (scalar or per path); +inf on zero paths."""
+        return self._roots(C, start)[0]
+
+    def _roots(self, C: float, start, tangent: bool = False):
+        """Per-path log x*(C) from ``start``; with ``tangent`` also du/dlog C and dB/dlog C.
 
         In each block, F at top sets the zero-branch paths aside, and F at
-        lo = log(C/p) - 69 must be positive on the others. Both are checked
-        over all paths, raising InnerRootError, before Newton runs per block.
+        lo = log(C/p) - 69 must be positive on the others: ``_floor_at``
+        proves that in closed form, or F is evaluated there. Both are
+        checked over all paths, raising InnerRootError, before Newton runs
+        per block. Returns log x and, with ``tangent``, du/dlog C per path
+        (0 on the zero branch) and dB/dlog C, else None and None.
+
+        At a root u = log x of F(u, log C) = 0, du/dlog C = -F_C/F_u with
+        F_C = -V'(log nu_T) C/(C - p x), and V' p x/(C - p x) = F_u + S/gamma,
+        S = scale (x h)^(-1/gamma) being the stop wealth plus ``shift``. With
+        dW/du = -S/gamma on a live path, dB/dlog C = mean(h dW/du du/dlog C);
+        the zero branch adds 0, so B's jumps are left out. Each block sums
+        its paths, and the sums are added in block order, so the slope does
+        not depend on the pool either.
         """
         if not (C > 0.0):
             raise ValueError(f"multiplier constant must be positive, got {C}")
@@ -352,9 +377,9 @@ class _InnerKernel:
             edge = self.zero_edge[s]
             live = self.residual(np.minimum(edge, hi), C, claim) <= 0.0
             # F(hi) > 0: no root below the cap, which is no zero branch either
-            unresolved = np.count_nonzero(~live & (edge >= hi)) + np.count_nonzero(
-                self.residual(lo, C, claim.part(live)) <= 0.0
-            )
+            unresolved = np.count_nonzero(~live & (edge >= hi))
+            if not self._floor_at(lo, C, claim) > 0.0:
+                unresolved += np.count_nonzero(self.residual(lo, C, claim.part(live)) <= 0.0)
             return live, unresolved
 
         classified = list(self._map(classify, self._blocks))
@@ -365,17 +390,43 @@ class _InnerKernel:
                 f"{unresolved} of {self.h_T1.size} paths at C={C!r}"
             )
         log_x = np.full(self.h_T1.size, np.inf)
+        du = np.zeros(self.h_T1.size) if tangent else None
 
         def refine(block, live):
             s, claim = block
             top = np.minimum(self.zero_edge[s][live], hi)
             u = np.clip(start if np.ndim(start) == 0 else start[s][live], lo, top)
-            log_x[s][live] = self._newton(C, claim.part(live), u, lo, top)
+            claim = claim.part(live)
+            f_u = np.empty_like(u) if tangent else None
+            roots = log_x[s][live] = self._newton(C, claim, u, lo, top, f_u)
+            if not tangent:
+                return 0.0
+            wealth_slope = claim.scale / claim.gamma * np.exp(-roots / claim.gamma) * claim.h_pow
+            du_block = du[s][live] = (f_u + wealth_slope) * C / (self.p * np.exp(roots) * f_u)
+            return -float(np.sum(self.h_T1[s][live] * wealth_slope * du_block))
 
-        list(self._map(refine, self._blocks, (live for live, _ in classified)))
-        return log_x
+        sums = list(self._map(refine, self._blocks, (live for live, _ in classified)))
+        return log_x, du, sum(sums) / self.h_T1.size if tangent else None
 
-    def _newton(self, C: float, claim: _Continuation, u, lo: float, top):
+    def _floor_at(self, log_x: float, C: float, claim: _Continuation) -> float:
+        """A closed-form lower bound on F at log x over the paths of ``claim``.
+
+        Both ndtr factors of V lie in [0, 1], so V <= lead + max(0, -shift) f_1,
+        and F >= scale h_pow (x^(-1/gamma) - f_q nu_T^(-1/gamma)) - shift
+        - max(0, -shift) f_1. That is linear in h_pow, so its least value
+        over the paths is at the smallest or the largest h_pow. -inf where
+        a power overflows: nothing is proven there.
+        """
+        x = math.exp(log_x)
+        nu_T = (C - self.p * x) / (1.0 - self.p)
+        try:
+            gap = x ** (-1.0 / claim.gamma) - claim.f_q * nu_T ** (-1.0 / claim.gamma)
+        except OverflowError:
+            return -math.inf
+        h_pow = claim.h_pow.min() if gap > 0.0 else claim.h_pow.max()
+        return claim.scale * float(h_pow) * gap - claim.shift - max(0.0, -claim.shift) * claim.f_1
+
+    def _newton(self, C: float, claim: _Continuation, u, lo: float, top, slope=None):
         """Roots of F on [lo, top] from u, for F(lo) > 0 >= F(top) on the paths of ``claim``.
 
         Each step moves a bracket end to u by the sign of F(u), then takes the
@@ -383,6 +434,8 @@ class _InnerKernel:
         bracket. A path is done, at its last Newton point, once that step is
         at most 4 eps max(1, |u|) or F(u) is exactly 0; it then leaves the
         arrays. After _MAX_STEPS steps the last points are returned unchecked.
+        ``slope``, an array like u when given, receives F_u at each path's
+        last point.
         """
         roots = np.empty_like(u)
         rows = np.arange(u.size)
@@ -397,13 +450,19 @@ class _InnerKernel:
             done = (np.abs(step) <= 4.0 * _EPS * np.maximum(1.0, np.abs(u))) | (f == 0.0)
             if done.all():
                 roots[rows] = nxt
+                if slope is not None:
+                    slope[rows] = f_u
                 return roots
             if done.any():
                 roots[rows[done]] = nxt[done]
+                if slope is not None:
+                    slope[rows[done]] = f_u[done]
                 keep = np.flatnonzero(~done)
                 rows, nxt, a, b, claim = rows[keep], nxt[keep], a[keep], b[keep], claim.part(keep)
             u = nxt
         roots[rows] = u
+        if slope is not None:
+            slope[rows] = f_u
         return roots
 
     def solve(self, C: float):
@@ -424,37 +483,51 @@ class _InnerKernel:
         """Newton start at C from the kept roots on either side of C.
 
         Linear in log C between the two, the finite one where the root above
-        C is on the zero branch (+inf) or only one side is kept, and log C
-        where none is kept or the kept root lies at or above hi: there, next
-        to the cap, Newton in log x only creeps away from it.
+        C is on the zero branch (+inf). Where only one side is kept, the
+        tangent log x_k + du_k log(C/C_k) from that side's roots and slopes,
+        or its roots where no slope is kept. log C where none is kept, and
+        where the start is not finite or lies at or above hi: there, next to
+        the cap, Newton in log x only creeps away from it.
         """
         low = self._low[1] if self._low and self._low[0] < C else None
         high = self._high[1] if self._high and self._high[0] > C else None
         if low is None and high is None:
             return math.log(C)
         if low is None or high is None:
-            start = high if low is None else low
+            c_k, start = self._high if low is None else self._low
+            if self._du is not None:  # the tangent, formed in the kept slopes' array
+                tangent, self._du = self._du, None
+                tangent *= math.log(C / c_k)
+                start = np.add(tangent, start, out=tangent)
         else:
             w = math.log(C / self._low[0]) / math.log(self._high[0] / self._low[0])
             with np.errstate(invalid="ignore"):  # inf - inf where both are on the zero branch
                 start = np.where(np.isfinite(high), low + w * (high - low), low)
-        return np.where(start < self._bracket(C)[1], start, math.log(C))
+        return np.where(np.isfinite(start) & (start < self._bracket(C)[1]), start, math.log(C))
 
     def budget(self, C: float) -> float:
-        """Monte-Carlo budget mean(H_T1 wealth_T1) at C, Newton started from the kept roots.
+        """Monte-Carlo budget mean(H_T1 wealth_T1) at C, Newton started from the kept roots."""
+        return self.budget_and_slope(C)[0]
+
+    def budget_and_slope(self, C: float):
+        """The budget at C and its slope dB/dlog C between B's jumps (``_roots``).
 
         Only the wealth is formed: inverse_marginal already gives zero above
-        the envelope slope, so no multiplier or residual array is built.
+        the envelope slope, so no multiplier or residual array is built. The
+        roots at C are kept as ``_low`` or ``_high`` when nearer to the
+        crossing of x0 than the kept ones, with their du/dlog C.
         """
-        log_x = self._log_roots(C, self._start(C))
+        log_x, du, slope = self._roots(C, self._start(C), tangent=True)
         wealth = inverse_marginal(self.spec.contract, np.exp(log_x) * self.h_T1)
         value = float(np.mean(self.h_T1 * wealth))
         if value > self.spec.x0:
             if self._low is None or C > self._low[0]:
-                self._low = (C, log_x)
+                self._low, self._du = (C, log_x), du
         elif self._high is None or C < self._high[0]:
-            self._high = (C, log_x)
-        return value
+            self._high, self._du = (C, log_x), du
+        if self._low and self._high:
+            self._du = None
+        return value, slope
 
 
 def solve_inner_nu_T(h_T1, w_T1, C: float, spec: ProblemSpec):
@@ -486,15 +559,21 @@ def solve_uncertain_horizon(
     budget_tol: float = 1e-3,
     paths: SimulatedPaths | None = None,
     n_workers: int = 1,
+    *,
+    c_start: float | None = None,
 ) -> SolverSolution:
     """Calibrate the multiplier constant C against the Monte-Carlo budget.
 
     The budget estimate mean(H_T1 * wealth_T1) is monotone decreasing in C
     (larger multipliers buy less wealth), so ``log_root`` finds its root in
-    log C from the fixed-horizon multiplier, to 4e-13 in log C. Each
-    distinct C costs one inner solve, Newton started from the roots at the
-    nearest C evaluated so far, and one entry of ``bracket_history``; the
-    solve at the calibrated C starts from log C.
+    log C by safeguarded Newton steps on the exact slope dB/dlog C, to a
+    step of 4e-13 in log C. It starts from ``c_start`` when given, such as
+    the C of a neighbouring problem on the same paths, and else from the
+    fixed-horizon multiplier; the start changes which C are evaluated, and
+    the root only at rounding level. Each distinct C costs one inner solve,
+    Newton started from the roots at the nearest C evaluated so far, and one
+    entry of ``bracket_history``; the solve at the calibrated C starts from
+    log C.
     The reported residual must end up within budget_tol or a
     ConvergenceError with the full evaluation history is raised. A final
     per-path inner residual above 1e-10 max(wealth_T1, 1) on a path with
@@ -529,11 +608,15 @@ def solve_uncertain_horizon(
     _, h_T = paths.column(T)
 
     x0 = spec.x0
-    c_init = solve_fixed_horizon(spec, horizon=T).nu
+    if c_start is None:
+        c_start = solve_fixed_horizon(spec, horizon=T).nu
+    elif not (0.0 < c_start < math.inf):
+        raise ValueError(f"c_start must be positive and finite, got {c_start}")
     with ThreadPoolExecutor(n_workers) if n_workers > 1 else contextlib.nullcontext() as pool:
         kernel = _InnerKernel(spec, h_T1, w_T1, pool)
         log_c, history = log_root(
-            lambda u: kernel.budget(math.exp(u)), math.log(c_init), x0, _LOG_XTOL
+            lambda u: kernel.budget_and_slope(math.exp(u)), math.log(c_start), x0, _LOG_XTOL,
+            slope=True,
         )
         c_star = math.exp(log_c)
         nu_T1, nu_T, wealth_T1, residuals, zero = kernel.solve(c_star)

@@ -271,6 +271,29 @@ class TestRun:
         assert run(cfg, out_dir=str(tmp_path / "out"), quiet=True) == 0
         assert workers == [3, 3]
 
+    @pytest.mark.parametrize(
+        "experiment, sweep",
+        [("figure1-sweep", {"spread_grid": [1.0, 2.0, 3.0]}),
+         ("figure2-sweep", {"prob_grid": [0.2, 0.5, 0.8]})],
+        ids=["figure1", "figure2"],
+    )
+    def test_sweeps_start_from_the_previous_c_star(self, tmp_path, monkeypatch, experiment, sweep):
+        starts, found = [], []
+        solve = cli.solve_uncertain_horizon
+
+        def recorded(*args, **kwargs):
+            starts.append(kwargs.get("c_start"))
+            sol = solve(*args, **kwargs)
+            found.append(sol.c_star)
+            return sol
+
+        monkeypatch.setattr(cli, "solve_uncertain_horizon", recorded)
+        cfg = write_config(
+            tmp_path / "c.yaml", experiment=experiment, n_paths=10_000, seed=4, sweep=sweep
+        )
+        assert run(cfg, out_dir=str(tmp_path / "out"), quiet=True) == 0
+        assert starts == [None] + found[:-1]
+
     def test_figure1_sweep_emits_grid(self, tmp_path):
         cfg = write_config(
             tmp_path / "c.yaml",

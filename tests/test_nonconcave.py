@@ -13,6 +13,7 @@ import gc
 import math
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -45,6 +46,19 @@ from horizonopt.nonconcave import (
 )
 
 SEED = 606
+
+# low capital: 6-89% of paths on the zero-wealth branch
+ZERO_BRANCH_PROBLEMS = [(3.0, 5.0), (3.0, 20.0), (3.0, 40.0), (0.5, 5.0), (0.5, 20.0), (0.5, 60.0)]
+
+# theta > 0 (baseline), theta = 0 (mu = r) and theta < 0
+THETA_MARKETS = [
+    MarketParams(mu=0.08, r=0.03, sigma=0.2),
+    MarketParams(mu=0.03, r=0.03, sigma=0.2),
+    MarketParams(mu=-0.02, r=0.03, sigma=0.2),
+]
+
+# two full blocks of _ROOT_BLOCK paths and a ragged one of 7,232
+BLOCKED_PATHS = 40_000
 
 
 def degenerate_contract(eps: float = 1e-8) -> ContractUtility:
@@ -333,9 +347,9 @@ class TestCalibration:
         solve_uncertain_horizon(ProblemSpec(market, contract, horizon, x0), n_paths, seed=seed)
         assert 0 < sum(calls) <= most
 
-    def test_every_newton_solve_takes_few_steps(self, monkeypatch, market, contract, horizon):
-        # x0 = 5: many roots at the first C lie above the cap of the next, smaller C;
-        # started there, Newton in log x would creep away from the cap for 20-odd steps
+    @pytest.fixture
+    def newton_steps(self, monkeypatch):
+        """The steps of each inner Newton solve, in call order."""
         steps = []
         newton, residual_and_slope = _InnerKernel._newton, _InnerKernel.residual_and_slope
 
@@ -349,12 +363,74 @@ class TestCalibration:
 
         monkeypatch.setattr(_InnerKernel, "_newton", counted_newton)
         monkeypatch.setattr(_InnerKernel, "residual_and_slope", counted_step)
+        return steps
+
+    def test_every_newton_solve_takes_few_steps(self, newton_steps, market, contract, horizon):
+        # x0 = 5: many roots at the first C lie above the cap of the next, smaller C;
+        # started there, Newton in log x would creep away from the cap for 20-odd steps
         solve_uncertain_horizon(ProblemSpec(market, contract, horizon, 5.0), 10_000, seed=1)
-        assert steps and max(steps) <= 8
+        assert newton_steps and max(newton_steps) <= 8
+
+    @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
+    def test_tangent_starts_take_few_newton_steps(self, newton_steps, market, contract, p):
+        # 10k paths, one block: one Newton solve per budget evaluation, then the
+        # final solve from log C. Started from the kept roots alone, the second
+        # evaluation took up to 11 steps (p = 0.9); along their tangents, 4.
+        spec = ProblemSpec(market, contract, HorizonDistribution([8.0], [p], 12.0), 100.0)
+        sol = solve_uncertain_horizon(spec, 10_000, seed=1)
+        assert len(newton_steps) == sol.iterations + 1
+        assert max(newton_steps[1:-1]) <= 4
 
     def test_baseline_needs_few_budget_evaluations(self, spec):
+        # Newton on the exact slope: 5; the log-2 walk and Chandrupatla took 7
         sol = solve_uncertain_horizon(spec, 10_000, seed=1)
-        assert len(sol.bracket_history) <= 10
+        assert len(sol.bracket_history) <= 5
+
+    @pytest.mark.parametrize("factor", [0.8, 1.0, 1.25])
+    def test_budget_slope_is_derivative_of_budget(self, spec, factor):
+        # the baseline has no zero-branch path, so the budget is smooth in C
+        sol = solve_uncertain_horizon(spec, 10_000, seed=1)
+        assert not sol.zero_mask.any()
+        c, step = sol.c_star * factor, 1e-5
+
+        def budget(log_c):
+            return _InnerKernel(spec, sol.h_T1, sol.w_T1).budget(math.exp(log_c))
+
+        fd = (budget(math.log(c) + step) - budget(math.log(c) - step)) / (2.0 * step)
+        value, slope = _InnerKernel(spec, sol.h_T1, sol.w_T1).budget_and_slope(c)
+        assert value == _InnerKernel(spec, sol.h_T1, sol.w_T1).budget(c)
+        assert slope == pytest.approx(fd, rel=1e-6, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "gamma, x0, most",
+        [(g, x, n) for (g, x), n in zip(ZERO_BRANCH_PROBLEMS, [43, 36, 25, 37, 36, 34])],
+        ids=[f"gamma{g}-x0{x}" for g, x in ZERO_BRANCH_PROBLEMS],
+    )
+    def test_budget_jumps_cost_no_more_evaluations(self, market, horizon, gamma, x0, most):
+        # the counts of the log-2 walk and Chandrupatla alone; Newton leaves the
+        # bracket to Chandrupatla when a jump stops it halving the excess
+        contract = ContractUtility(PowerUtility(gamma), 0.25, 50.0, 1.0)
+        sol = solve_uncertain_horizon(ProblemSpec(market, contract, horizon, x0), 10_000, seed=1)
+        assert sol.zero_mask.any()
+        assert sol.iterations <= most
+
+    def test_sweep_starts_from_the_previous_c_star(self, market, contract, horizon):
+        # figure2-sweep's nine solves on one path set took 67 budget evaluations
+        paths = simulate_paths(market, [8.0, 12.0], 10_000, seed=1)
+        total, c_start = 0, None
+        for p in np.linspace(0.1, 0.9, 9):
+            spec = ProblemSpec(market, contract, HorizonDistribution([8.0], [p], 12.0), 100.0)
+            swept = solve_uncertain_horizon(spec, 10_000, seed=1, paths=paths, c_start=c_start)
+            alone = solve_uncertain_horizon(spec, 10_000, seed=1, paths=paths)
+            assert swept.c_star == pytest.approx(alone.c_star, rel=1e-12, abs=0.0)
+            total += swept.iterations
+            c_start = swept.c_star
+        assert total <= 40
+
+    @pytest.mark.parametrize("c_start", [0.0, -1e-5, math.inf, math.nan])
+    def test_c_start_must_be_positive_and_finite(self, spec, c_start):
+        with pytest.raises(ValueError, match="c_start"):
+            solve_uncertain_horizon(spec, 10_000, seed=1, c_start=c_start)
 
     def test_no_reference_cycle_keeps_the_inner_kernel(self, spec):
         # garbage in a cycle waits for the collector, and the kernel holds
@@ -403,10 +479,6 @@ class TestCalibration:
             solve_uncertain_horizon(spec, 10_000, seed=1)
 
 
-# two full blocks of _ROOT_BLOCK paths and a ragged one of 7,232
-BLOCKED_PATHS = 40_000
-
-
 class TestBlockedInnerSolve:
     @pytest.fixture(scope="class")
     def kernel(self, spec):
@@ -430,6 +502,31 @@ class TestBlockedInnerSolve:
             warm = kernel._log_roots(c, start)
             assert warm.tobytes() == whole._log_roots(c, start).tobytes()
             np.testing.assert_allclose(warm, cold, rtol=1e-14, atol=0.0)
+
+    def test_slope_does_not_depend_on_workers(self, spec, kernel):
+        # more workers than cores, switching threads often; each block sums its own paths
+        c_fixed = solve_fixed_horizon(spec, horizon=12.0).nu
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for c in (c_fixed, 100.0 * c_fixed):
+                start = kernel._log_roots(0.9 * c, math.log(c))
+                results = []
+                for n in (1, 2, 4):
+                    with ThreadPoolExecutor(n) as pool:
+                        pooled = copy.copy(kernel)
+                        pooled._map = pool.map
+                        results.append(pooled._roots(c, start, tangent=True))
+                log_x, du, slope = results[0]
+                assert slope < 0.0 and np.all(du[np.isfinite(log_x)] > 0.0)
+                assert np.all(du[~np.isfinite(log_x)] == 0.0)
+                assert log_x.tobytes() == kernel._log_roots(c, start).tobytes()
+                for other in results[1:]:
+                    assert other[0].tobytes() == log_x.tobytes()
+                    assert other[1].tobytes() == du.tobytes()
+                    assert other[2] == slope
+        finally:
+            sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize("x0", [100.0, 40.0], ids=["baseline", "zero-branch"])
     def test_solution_does_not_depend_on_workers(self, market, contract, horizon, x0):
@@ -474,10 +571,6 @@ class TestBlockedInnerSolve:
             solve_uncertain_horizon(spec, BLOCKED_PATHS, seed=1, n_workers=2)
 
 
-# low capital: 6-89% of paths on the zero-wealth branch
-ZERO_BRANCH_PROBLEMS = [(3.0, 5.0), (3.0, 20.0), (3.0, 40.0), (0.5, 5.0), (0.5, 20.0), (0.5, 60.0)]
-
-
 class TestInnerRootBracketing:
     @pytest.mark.parametrize(
         "gamma, x0", ZERO_BRANCH_PROBLEMS, ids=[f"gamma{g}-x0{x}" for g, x in ZERO_BRANCH_PROBLEMS]
@@ -510,13 +603,46 @@ class TestInnerRootBracketing:
         kernel.solve(c)
         assert seen and np.all(np.isin(np.concatenate(seen), kernel.claim.h_pow[live]))
 
+    @pytest.mark.parametrize("market", THETA_MARKETS, ids=["theta>0", "theta=0", "theta<0"])
+    @pytest.mark.parametrize("guarantee", [1.0, 20.0], ids=["shift<0", "shift>0"])
+    def test_floor_bounds_the_residual(self, horizon, market, guarantee):
+        # B = 50 and alpha = 0.25: shift = K/alpha - B changes sign between K = 1 and K = 20
+        contract = ContractUtility(PowerUtility(3.0), 0.25, 50.0, guarantee)
+        spec = ProblemSpec(market, contract, horizon, 100.0)
+        paths = simulate_paths(market, [8.0, 12.0], 400, seed=SEED + 11)
+        w, h = paths.column(8.0)
+        kernel = _InnerKernel(spec, h, w)
+        c = solve_fixed_horizon(spec, horizon=12.0).nu
+        lo, hi = kernel._bracket(c)
+        for log_x in np.linspace(lo, hi, 40):
+            floor = [kernel._floor_at(log_x, c, kernel.claim.part([i])) for i in range(h.size)]
+            # near lo both ndtr factors are 1 and the floor equals F up to rounding
+            residual = kernel.residual(np.full(h.size, log_x), c)
+            residual += 1e-12 * np.abs(residual)
+            assert np.all(np.asarray(floor) <= residual)
+            assert kernel._floor_at(log_x, c, kernel.claim) <= residual.min()
+        # at lo the floor alone proves F > 0, so the residual is not evaluated there
+        assert kernel._floor_at(lo, c, kernel.claim) > 0.0
 
-# theta > 0 (baseline), theta = 0 (mu = r) and theta < 0
-THETA_MARKETS = [
-    MarketParams(mu=0.08, r=0.03, sigma=0.2),
-    MarketParams(mu=0.03, r=0.03, sigma=0.2),
-    MarketParams(mu=-0.02, r=0.03, sigma=0.2),
-]
+    def test_roots_do_not_depend_on_the_floor(self, monkeypatch, spec):
+        paths = simulate_paths(spec.market, [8.0, 12.0], BLOCKED_PATHS, SEED)
+        w_T1, h_T1 = paths.column(8.0)
+        kernel = _InnerKernel(spec, h_T1, w_T1)
+        c_fixed = solve_fixed_horizon(spec, horizon=12.0).nu
+        # every path live, and 2% of them on the zero branch
+        proven = [kernel._log_roots(c, math.log(c)) for c in (c_fixed, 100.0 * c_fixed)]
+        at_lo = []
+        residual = _InnerKernel.residual
+
+        def recorded(self, log_x, C, claim=None):
+            at_lo.append(np.ndim(log_x) == 0)
+            return residual(self, log_x, C, claim)
+
+        monkeypatch.setattr(_InnerKernel, "_floor_at", lambda *args: -math.inf)
+        monkeypatch.setattr(_InnerKernel, "residual", recorded)
+        for c, roots in zip((c_fixed, 100.0 * c_fixed), proven):
+            assert kernel._log_roots(c, math.log(c)).tobytes() == roots.tobytes()
+        assert sum(at_lo) == 2 * len(kernel._blocks)
 
 
 class TestContinuation:

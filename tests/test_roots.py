@@ -60,6 +60,35 @@ def test_log_root_lists_each_multiplier_once():
     assert all(math.isclose(v, 1.0 / m, rel_tol=1e-12) for m, v in history)
 
 
+def test_log_root_newton_needs_fewer_evaluations_than_the_walk():
+    def value(u):
+        return math.exp(-u), -math.exp(-u)
+
+    for u0 in (-3.0, 0.0, 4.0):
+        u, history = log_root(value, u0, 0.37, slope=True)
+        walked = log_root(lambda u: value(u)[0], u0, 0.37)[1]
+        assert abs(u + math.log(0.37)) <= 1e-12
+        assert len(history) < len(walked)
+
+
+def test_log_root_newton_leaves_a_jump_to_root():
+    # a step of 0.2 across the target at u = 1; the slope does not see it
+    def value(u):
+        return 1.0 - 0.01 * u - (0.2 if u >= 1.0 else 0.0), -0.01
+
+    for u0 in (-2.0, 0.9, 1.1, 3.0):
+        u, history = log_root(value, u0, 0.9, xtol=1e-13, slope=True)
+        assert abs(u - 1.0) <= 1e-12
+        assert len(history) <= 60
+
+
+def test_log_root_without_a_usable_slope_walks_by_log_2():
+    # a nan or positive slope gives the same evaluations as no slope at all
+    for bad in (math.nan, 1.0):
+        u, history = log_root(lambda u: (math.exp(-u), bad), -3.0, 0.37, 1e-12, slope=True)
+        assert (u, history) == log_root(lambda u: math.exp(-u), -3.0, 0.37, 1e-12)
+
+
 def test_cli_import_leaves_scipy_optimize_out():
     src = str(Path(horizonopt.__file__).resolve().parents[1])
     code = "import sys, horizonopt.cli; sys.exit('scipy.optimize' in sys.modules)"
