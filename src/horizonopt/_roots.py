@@ -65,7 +65,8 @@ def log_root(value, u0: float, target: float, xtol: float = 0.0, slope: bool = F
     +-log 2 until value crosses target, and after that taken only while it
     lands strictly inside the bracket and the step before it at least
     halved |value - target|; otherwise ``root`` runs on the bracket. A step
-    of at most 4 eps |u| + xtol ends the search at u plus that step; where
+    of at most 4 eps |u| + xtol ends the search at u plus that step, before
+    the bracket is consulted: at rounding level u + step can equal u. Where
     the slope is missing or not negative the step is log 2.
     Returns u and the (multiplier, value) pair of each evaluation, which a
     ConvergenceError carries if no crossing comes in _MAX_BRACKET_STEPS.
@@ -88,16 +89,14 @@ def log_root(value, u0: float, target: float, xtol: float = 0.0, slope: bool = F
         else:
             below = (u, f_u)
         step = -f_u / df if df < 0.0 else math.nan
+        if not (above and below):  # no crossing yet: at most log 2 toward it
+            step = min(max(step, -_LOG_2), _LOG_2) if df < 0.0 else math.copysign(_LOG_2, f_u)
+        if abs(step) <= 4.0 * _EPS * abs(u) + xtol:
+            return u + step, tuple(history)
         if above and below:
             end, f_end = below if f_u > 0.0 else above
             if not (halved and min(u, end) < u + step < max(u, end)):
                 return root(lambda x: excess(x)[0], end, u, f_end, f_u, xtol), tuple(history)
-        elif math.isnan(step):
-            step = math.copysign(_LOG_2, f_u)
-        else:
-            step = min(max(step, -_LOG_2), _LOG_2)
-        if abs(step) <= 4.0 * _EPS * abs(u) + xtol:
-            return u + step, tuple(history)
         f_prev = f_u
         u += step
         f_u, df = excess(u)

@@ -397,7 +397,7 @@ class _InnerKernel:
             top = np.minimum(self.zero_edge[s][live], hi)
             u = np.clip(start if np.ndim(start) == 0 else start[s][live], lo, top)
             claim = claim.part(live)
-            f_u = np.empty_like(u) if tangent else None
+            f_u = u if tangent else None  # _newton reads u only before it writes F_u
             roots = log_x[s][live] = self._newton(C, claim, u, lo, top, f_u)
             if not tangent:
                 return 0.0
@@ -435,7 +435,8 @@ class _InnerKernel:
         at most 4 eps max(1, |u|) or F(u) is exactly 0; it then leaves the
         arrays. After _MAX_STEPS steps the last points are returned unchecked.
         ``slope``, an array like u when given, receives F_u at each path's
-        last point.
+        last point; it may be u itself, which is read only before the first
+        write.
         """
         roots = np.empty_like(u)
         rows = np.arange(u.size)

@@ -82,6 +82,16 @@ def test_log_root_newton_leaves_a_jump_to_root():
         assert len(history) <= 60
 
 
+def test_log_root_newton_stops_on_a_step_below_rounding():
+    # the second point brackets the root with an excess so small that u + step == u;
+    # that is convergence, not a Newton point outside the bracket
+    def value(u):
+        return (1e-300 if u == 1.0 else 1.0 - u), -1.0
+
+    u, history = log_root(value, math.log(4.5), 0.0, xtol=1e-13, slope=True)
+    assert u == 1.0 and len(history) == 2
+
+
 def test_log_root_without_a_usable_slope_walks_by_log_2():
     # a nan or positive slope gives the same evaluations as no slope at all
     for bad in (math.nan, 1.0):
