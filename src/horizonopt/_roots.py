@@ -1,7 +1,8 @@
 """The package's scalar root finder: Chandrupatla's method (Adv. Eng.
 Software 28, 1997) on a bracket of a monotone function, and a walk in
-log(multiplier) to such a bracket, by steps of log 2 or by safeguarded
-Newton steps where the slope is known."""
+log(multiplier) to such a bracket by steps of log 2. The tangency wealth
+and the fixed-horizon multiplier use both; the multiplier constant C of
+the two-date problem has its own jump-aware calibration in ``nonconcave``."""
 
 import math
 
@@ -56,51 +57,29 @@ def root(f, a: float, b: float, fa: float, fb: float, xtol: float = 0.0) -> floa
             t = f1 / (f1 - f2) * f3 / (f3 - f2) - alpha * f1 / (f3 - f1) * f2 / (f2 - f3)
 
 
-def log_root(value, u0: float, target: float, xtol: float = 0.0, slope: bool = False):
+def log_root(value, u0: float, target: float, xtol: float = 0.0):
     """Root u of value(u) = target for a value decreasing in u = log(multiplier).
 
-    Without ``slope``, steps by log 2 from u0 until value crosses target,
-    then runs ``root`` on that step. With ``slope``, value(u) returns the
-    pair (value, d value / du), and each step is a Newton step: clipped to
-    +-log 2 until value crosses target, and after that taken only while it
-    lands strictly inside the bracket and the step before it at least
-    halved |value - target|; otherwise ``root`` runs on the bracket. A step
-    of at most 4 eps |u| + xtol ends the search at u plus that step, before
-    the bracket is consulted: at rounding level u + step can equal u. Where
-    the slope is missing or not negative the step is log 2.
-    Returns u and the (multiplier, value) pair of each evaluation, which a
-    ConvergenceError carries if no crossing comes in _MAX_BRACKET_STEPS.
+    Steps by log 2 from u0 until value crosses target, then runs ``root`` on
+    that step. Returns u and the (multiplier, value) pair of each evaluation,
+    which a ConvergenceError carries if no crossing comes in _MAX_BRACKET_STEPS.
     """
     history = []
 
     def excess(u):
-        v, dv = value(float(u)) if slope else (value(float(u)), math.nan)
+        v = value(float(u))
         history.append((math.exp(u), v))
-        return v - target, dv
+        return v - target
 
-    u, (f_u, df) = u0, excess(u0)
-    above = below = None  # the nearest evaluated (u, excess) with excess > 0 and < 0
-    halved = True
+    u, f_u = u0, excess(u0)
+    up = f_u > 0.0
+    step = _LOG_2 if up else -_LOG_2
     for _ in range(_MAX_BRACKET_STEPS):
-        if f_u == 0.0:
-            return u, tuple(history)
-        if f_u > 0.0:
-            above = (u, f_u)
-        else:
-            below = (u, f_u)
-        step = -f_u / df if df < 0.0 else math.nan
-        if not (above and below):  # no crossing yet: at most log 2 toward it
-            step = min(max(step, -_LOG_2), _LOG_2) if df < 0.0 else math.copysign(_LOG_2, f_u)
-        if abs(step) <= 4.0 * _EPS * abs(u) + xtol:
-            return u + step, tuple(history)
-        if above and below:
-            end, f_end = below if f_u > 0.0 else above
-            if not (halved and min(u, end) < u + step < max(u, end)):
-                return root(lambda x: excess(x)[0], end, u, f_end, f_u, xtol), tuple(history)
-        f_prev = f_u
+        u_prev, f_prev = u, f_u
         u += step
-        f_u, df = excess(u)
-        halved = abs(f_u) <= 0.5 * abs(f_prev)
+        f_u = excess(u)
+        if (f_u <= 0.0) if up else (f_u >= 0.0):
+            return root(excess, u_prev, u, f_prev, f_u, xtol), tuple(history)
     raise ConvergenceError(
         f"no sign change in {_MAX_BRACKET_STEPS} steps of log 2 from {math.exp(u0)!r}", history
     )

@@ -23,13 +23,17 @@ two sides, or along each root's tangent in log C where one side is kept.
 
 The fixed-horizon problem (no interior stopping mass) is the degenerate
 case with a deterministic terminal multiplier. Both calibrations are one
-scalar root of a budget that decreases in the log of the multiplier,
-found by ``_roots.log_root``. The fixed-horizon multiplier takes steps of
-log 2 to a sign change, then Chandrupatla's method on that step. C takes
+scalar root of a budget that decreases in the log of the multiplier. The
+fixed-horizon multiplier takes steps of log 2 to a sign change, then
+Chandrupatla's method on that step (``_roots.log_root``). C takes
 safeguarded Newton steps on the exact slope dB/dlog C of the Monte-Carlo
-budget, which the inner solve yields path by path; where the budget's
-jumps, from paths that change branch, stop Newton from halving the
-excess, Chandrupatla's method takes over on the bracket.
+budget, which the inner solve yields path by path (``_calibrate``). The
+budget also jumps, by h_i x_hat / n, at the C_i where path i turns to the
+zero branch. Where the jumps stop Newton from halving the excess, the
+paths that switch inside the bracket give their C_i in closed form, one
+vectorised Newton solve in log C, and a model of the budget that steps
+over them picks the next C: a smooth crossing, or the two sides of the
+one jump that holds x0 (``_across_jumps``).
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.special import ndtr
 
-from ._roots import _EPS, _MAX_STEPS, ConvergenceError, log_root
+from ._roots import _EPS, _LOG_2, _MAX_BRACKET_STEPS, _MAX_STEPS, ConvergenceError, log_root
 from .market import (
     DENSITY_RTOL,
     HorizonDistribution,
@@ -77,6 +81,11 @@ _INNER_LOG_SPAN = 69.0  # lower bracket endpoint: e^-69 ~ 1e-30 of the cap
 _LOG_XTOL = 4e-13
 # Per-path inner residual allowed at the final solve, relative to max(wealth, 1).
 _INNER_RESIDUAL_RTOL = 1e-10
+# Relative distance from a path's switch at which C is evaluated on either side:
+# within _LOG_XTOL together, and far beyond the few doubles around the switch
+# where a path's root sits at its zero edge and the Newton start decides whether
+# its wealth is x_hat or 0.
+_SWITCH_MARGIN = _LOG_XTOL / 4.0
 # The inner solve splits more paths than this into blocks of this many: a
 # block's arrays stay in the per-core L2 cache, and blocks can run on worker
 # threads. Newton is elementwise, so the roots depend on neither the block
@@ -483,8 +492,9 @@ class _InnerKernel:
     def _start(self, C: float):
         """Newton start at C from the kept roots on either side of C.
 
-        Linear in log C between the two, the finite one where the root above
-        C is on the zero branch (+inf). Where only one side is kept, the
+        Linear in log C between the two, toward the zero edge where the root
+        above C is on the zero branch (+inf): that path's root rises to its
+        edge at its switch between the two. Where only one side is kept, the
         tangent log x_k + du_k log(C/C_k) from that side's roots and slopes,
         or its roots where no slope is kept. log C where none is kept, and
         where the start is not finite or lies at or above hi: there, next to
@@ -503,7 +513,7 @@ class _InnerKernel:
         else:
             w = math.log(C / self._low[0]) / math.log(self._high[0] / self._low[0])
             with np.errstate(invalid="ignore"):  # inf - inf where both are on the zero branch
-                start = np.where(np.isfinite(high), low + w * (high - low), low)
+                start = low + w * (np.where(np.isfinite(high), high, self.zero_edge) - low)
         return np.where(np.isfinite(start) & (start < self._bracket(C)[1]), start, math.log(C))
 
     def budget(self, C: float) -> float:
@@ -529,6 +539,182 @@ class _InnerKernel:
         if self._low and self._high:
             self._du = None
         return value, slope
+
+    def _jumps(self):
+        """The budget's jumps between the two kept sides ``_low`` and ``_high``.
+
+        They are the paths live at the low side and on the zero branch at
+        the high one. Returns those paths, the C_i at which each turns, and
+        the budget it takes with it, h_i x_hat / n. C_i is where
+        F(zero_edge_i, C) = 0: at a fixed log x, F increases in C at
+        dF/dlog C = -V'(log nu_T) C/(C - p x), V' from ``value_and_slope``.
+        Where the edge lies at or above the cap hi(C) the classification
+        tests F(hi) < 0 instead, so C counts as live. One bracketed Newton
+        solve in log C for all the paths, each point that leaves its
+        bracket replaced by the midpoint, until every step is at most
+        4 eps max(1, |log C|).
+        """
+        (c_lo, low), (c_hi, high) = self._low, self._high
+        rows = np.flatnonzero(np.isfinite(low) & np.isinf(high))
+        sizes = self.h_T1[rows] * (self.spec.contract.x_hat / self.h_T1.size)
+        claim = self.claim.part(rows)
+        edge = self.zero_edge[rows]
+        px = self.p * np.exp(edge)
+        stop_wealth = claim.scale * np.exp(-edge / claim.gamma) * claim.h_pow - claim.shift
+        a, b = np.full(edge.size, math.log(c_lo)), np.full(edge.size, math.log(c_hi))
+        v = 0.5 * (a + b)
+        for _ in range(_MAX_STEPS):
+            C = np.exp(v)
+            rest = C - px
+            with np.errstate(invalid="ignore", divide="ignore"):  # beyond the cap, C <= p x
+                value, slope = claim.value_and_slope(np.log(rest / (1.0 - self.p)))
+            f = np.where(edge < np.log(C / self.p) + math.log1p(-1e-13), stop_wealth - value, -np.inf)
+            a, b = np.where(f > 0.0, a, v), np.where(f > 0.0, v, b)
+            with np.errstate(invalid="ignore"):
+                nxt = v + f * rest / (slope * C)
+            nxt = np.where((a <= nxt) & (nxt <= b), nxt, 0.5 * (a + b))
+            done = np.all((np.abs(nxt - v) <= 4.0 * _EPS * np.maximum(1.0, np.abs(v))) | (f == 0.0))
+            v = nxt
+            if done:
+                break
+        return rows, np.exp(v), sizes
+
+    def _live(self, row: int, C: float) -> bool:
+        """The classification of ``_roots`` for path ``row`` at C: F(min(edge, hi)) <= 0."""
+        s = slice(row, row + 1)
+        top = np.minimum(self.zero_edge[s], self._bracket(C)[1])
+        return bool(self.residual(top, C, self.claim.part(s))[0] <= 0.0)
+
+    def _switch(self, row: int, C: float):
+        """Adjacent doubles c < nextafter(c) near C at which path ``row`` turns from live to zero.
+
+        A walk by single doubles from C, as ``payoff._solve_tangency`` takes;
+        None when it has not found the switch after _MAX_STEPS doubles.
+        """
+        up = self._live(row, C)
+        for _ in range(_MAX_STEPS):
+            nxt = math.nextafter(C, math.inf if up else 0.0)
+            if self._live(row, nxt) != up:
+                return (C, nxt) if up else (nxt, C)
+            C = nxt
+        return None
+
+
+def _calibrate(kernel: _InnerKernel, u0: float, xtol: float):
+    """C with budget(C) = x0 from log C = u0; see ``solve_uncertain_horizon``.
+
+    Newton steps in log C on the exact slope, clipped to log 2 until the
+    budget crosses x0, then taken only while each lands inside the bracket
+    and the step before it at least halved |B - x0|; otherwise
+    ``_across_jumps`` takes over on the bracket. A step of at most
+    4 eps |log C| + xtol ends the search at C times e^step, before the
+    bracket is consulted. Where the slope is not negative the step is
+    log 2. Returns C, the (C, budget) pair of each evaluation, and, where
+    the search ended on a bracket, its low end and the budget's drop
+    across it relative to x0; else None.
+    """
+    x0 = kernel.spec.x0
+    history = []
+
+    def excess(C):
+        value, slope = kernel.budget_and_slope(C)
+        history.append((C, value))
+        return value - x0, slope
+
+    u, (f_u, df) = u0, excess(math.exp(u0))
+    above = below = None  # the nearest evaluated (C, excess, slope) with excess > 0 and < 0
+    halved = True
+    for _ in range(_MAX_BRACKET_STEPS):
+        if f_u == 0.0:
+            return math.exp(u), tuple(history), None
+        if f_u > 0.0:
+            above = (math.exp(u), f_u, df)
+        else:
+            below = (math.exp(u), f_u, df)
+        step = -f_u / df if df < 0.0 else math.nan
+        if not (above and below):  # no crossing yet: at most log 2 toward it
+            step = min(max(step, -_LOG_2), _LOG_2) if df < 0.0 else math.copysign(_LOG_2, f_u)
+        if abs(step) <= 4.0 * _EPS * abs(u) + xtol:
+            return math.exp(u + step), tuple(history), None
+        if above and below:
+            end = math.log((below if f_u > 0.0 else above)[0])
+            if not (halved and min(u, end) < u + step < max(u, end)):
+                newest = above if f_u > 0.0 else below
+                c, jump = _across_jumps(kernel, excess, above, below, newest, xtol)
+                return c, tuple(history), jump
+        f_prev = f_u
+        u += step
+        f_u, df = excess(math.exp(u))
+        halved = abs(f_u) <= 0.5 * abs(f_prev)
+    raise ConvergenceError(
+        f"no sign change in {_MAX_BRACKET_STEPS} steps of log 2 from {math.exp(u0)!r}", history
+    )
+
+
+def _across_jumps(kernel: _InnerKernel, excess, above, below, newest, xtol: float):
+    """The calibration of C on a bracket whose budget jumps, from ``_calibrate``.
+
+    The paths live at the bracket's low end and on the zero branch at its
+    high end are the budget's jumps in between: path i takes h_i x_hat / n
+    out of the budget from its switch C_i on (``_jumps``, and ``_switch``
+    once walked to the double). The model of the budget from the newest
+    evaluated end, its value and slope in log C less (or plus) the jumps
+    passed, gives the next C: its crossing of x0 on a smooth piece, or,
+    where x0 lies inside path k's jump, _SWITCH_MARGIN beyond the side of
+    path k's switch with the smaller modelled |B - x0|, then beyond the
+    other. A modelled smooth crossing within 4 eps |log C| + xtol of the
+    newest end, with no jump between, ends the search there; a next C
+    outside the bracket is replaced by the midpoint in log C. Ends when
+    the bracket is at most 4 eps |log C| + xtol wide, on the end with the
+    smaller |B - x0|.
+    """
+    x0 = kernel.spec.x0
+    rows, switch, jumps = kernel._jumps()
+    for _ in range(_MAX_STEPS):
+        u_a, u_b = math.log(above[0]), math.log(below[0])
+        if u_b - u_a <= 4.0 * _EPS * max(abs(u_a), abs(u_b)) + xtol:
+            break
+        c_n, f_n, s_n = newest
+        u_n, up = math.log(c_n), f_n > 0.0
+        # the jumps inside the bracket, nearest to the newest end first
+        inside = np.flatnonzero((above[0] < switch) & (switch <= below[0]))
+        inside = inside[np.argsort(switch[inside] if up else -switch[inside], kind="stable")]
+        dist, size = np.abs(np.log(switch[inside]) - u_n), jumps[inside]
+        # |excess| from the newest end falls with distance and with each jump passed
+        g, rate = abs(f_n), -s_n
+        c = None
+        if rate > 0.0:
+            passed = np.cumsum(size)
+            before = g - rate * dist - (passed - size)
+            crossed = np.flatnonzero(before <= size)
+            k = crossed[0] if crossed.size else size.size
+            if k < size.size and before[k] > 0.0:  # x0 inside the jump of path k
+                i = inside[k]
+                walked = kernel._switch(int(rows[i]), float(switch[i]))
+                if walked is not None:
+                    switch[i] = walked[1]
+                    # a margin beyond the switch, where every Newton start classifies alike
+                    sides = walked[0] * (1.0 - _SWITCH_MARGIN), walked[1] * (1.0 + _SWITCH_MARGIN)
+                    near, far = sides if up else sides[::-1]
+                    first, second = (near, far) if before[k] < size[k] - before[k] else (far, near)
+                    c = first if above[0] < first < below[0] else second
+            else:
+                step = (g - (passed[k - 1] if k else 0.0)) / rate
+                c = math.exp(u_n + step if up else u_n - step)
+                if k == 0 and step <= 4.0 * _EPS * abs(u_n) + xtol:
+                    return c, None
+        if c is None or not above[0] < c < below[0]:
+            c = math.exp(0.5 * (u_a + u_b))
+        f, s = excess(c)
+        if f == 0.0:
+            return c, None
+        newest = (c, f, s)
+        if f > 0.0:
+            above = newest
+        else:
+            below = newest
+    best = above if abs(above[1]) < abs(below[1]) else below
+    return best[0], (above[0], (above[1] - below[1]) / x0)
 
 
 def solve_inner_nu_T(h_T1, w_T1, C: float, spec: ProblemSpec):
@@ -566,19 +752,26 @@ def solve_uncertain_horizon(
     """Calibrate the multiplier constant C against the Monte-Carlo budget.
 
     The budget estimate mean(H_T1 * wealth_T1) is monotone decreasing in C
-    (larger multipliers buy less wealth), so ``log_root`` finds its root in
-    log C by safeguarded Newton steps on the exact slope dB/dlog C, to a
-    step of 4e-13 in log C. It starts from ``c_start`` when given, such as
-    the C of a neighbouring problem on the same paths, and else from the
-    fixed-horizon multiplier; the start changes which C are evaluated, and
-    the root only at rounding level. Each distinct C costs one inner solve,
-    Newton started from the roots at the nearest C evaluated so far, and one
-    entry of ``bracket_history``; the solve at the calibrated C starts from
-    log C.
+    (larger multipliers buy less wealth), so its root in log C is found by
+    safeguarded Newton steps on the exact slope dB/dlog C, to a step of
+    4e-13 in log C. The slope leaves out the budget's jumps, one per path
+    that turns to the zero branch; where they stop Newton from halving the
+    excess, each switching path's C_i is solved in closed form and a model
+    of the budget across those jumps picks the next C. When x0 lies inside
+    one path's jump, C ends 1e-13 (relative) beside that path's switch, on
+    the side whose budget is nearer x0. The search starts from ``c_start``
+    when given, such as the C of a neighbouring problem on the same paths,
+    and else from the fixed-horizon multiplier; the start changes which C
+    are evaluated, and the root only at rounding level. Each distinct C
+    costs one inner solve, Newton started from the roots at the nearest C
+    evaluated so far, and one entry of ``bracket_history``; the solve at
+    the calibrated C starts from log C.
     The reported residual must end up within budget_tol or a
-    ConvergenceError with the full evaluation history is raised. A final
-    per-path inner residual above 1e-10 max(wealth_T1, 1) on a path with
-    positive wealth raises InnerRootError.
+    ConvergenceError with the full evaluation history is raised; its
+    message names the jump, its size relative to x0 and its C, when x0
+    lies inside a jump wider than budget_tol. A final per-path inner
+    residual above 1e-10 max(wealth_T1, 1) on a path with positive wealth
+    raises InnerRootError.
 
     Common random numbers: the same path draws are reused for every C, so
     the budget function is deterministic and free of cross-iteration noise.
@@ -615,11 +808,7 @@ def solve_uncertain_horizon(
         raise ValueError(f"c_start must be positive and finite, got {c_start}")
     with ThreadPoolExecutor(n_workers) if n_workers > 1 else contextlib.nullcontext() as pool:
         kernel = _InnerKernel(spec, h_T1, w_T1, pool)
-        log_c, history = log_root(
-            lambda u: kernel.budget_and_slope(math.exp(u)), math.log(c_start), x0, _LOG_XTOL,
-            slope=True,
-        )
-        c_star = math.exp(log_c)
+        c_star, history, jump = _calibrate(kernel, math.log(c_start), _LOG_XTOL)
         nu_T1, nu_T, wealth_T1, residuals, zero = kernel.solve(c_star)
     residuals = np.where(zero, np.nan, residuals)
     off = ~zero & ~(np.abs(residuals) <= _INNER_RESIDUAL_RTOL * np.maximum(wealth_T1, 1.0))
@@ -632,9 +821,12 @@ def solve_uncertain_horizon(
     budget_estimate = float(np.mean(h_T1 * wealth_T1))
     budget_residual = abs(budget_estimate - x0) / x0
     if budget_residual > budget_tol:
+        inside = ""
+        if jump is not None and jump[1] > budget_tol:
+            inside = f"; x0 lies inside a budget jump of {jump[1]:.3e} x0 at C={jump[0]!r}"
         raise ConvergenceError(
             f"budget residual {budget_residual:.3e} above tolerance {budget_tol:.1e} "
-            f"after {len(history)} budget evaluations",
+            f"after {len(history)} budget evaluations{inside}",
             history,
         )
 

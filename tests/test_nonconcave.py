@@ -13,6 +13,7 @@ import gc
 import math
 import sys
 import threading
+import types
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -38,9 +39,12 @@ from horizonopt import (
 )
 from horizonopt._roots import log_root
 from horizonopt.nonconcave import (
+    _LOG_XTOL,
     _ROOT_BLOCK,
+    _SWITCH_MARGIN,
     ConvergenceError,
     InnerRootError,
+    _calibrate,
     _Continuation,
     _InnerKernel,
 )
@@ -59,6 +63,35 @@ THETA_MARKETS = [
 
 # two full blocks of _ROOT_BLOCK paths and a ragged one of 7,232
 BLOCKED_PATHS = 40_000
+
+
+def zero_branch_spec(market, horizon, gamma: float, x0: float) -> ProblemSpec:
+    return ProblemSpec(market, ContractUtility(PowerUtility(gamma), 0.25, 50.0, 1.0), horizon, x0)
+
+
+def classified_live(kernel: _InnerKernel, C: float):
+    """The kernel's classification over all paths at C: F(min(edge, hi)) <= 0."""
+    return kernel.residual(np.minimum(kernel.zero_edge, kernel._bracket(C)[1]), C) <= 0.0
+
+
+class Budget:
+    """A stand-in kernel for ``_calibrate``: budget_and_slope(C) and at most one jump.
+
+    ``switch`` is the C at which the one jump starts, with ``size`` its drop.
+    """
+
+    def __init__(self, x0: float, budget_and_slope, switch: float = math.nan, size: float = 0.0):
+        self.spec = types.SimpleNamespace(x0=x0)
+        self.budget_and_slope = budget_and_slope
+        self.switch, self.size = switch, size
+
+    def _jumps(self):
+        if math.isnan(self.switch):
+            return np.empty(0, dtype=np.intp), np.empty(0), np.empty(0)
+        return np.zeros(1, dtype=np.intp), np.array([self.switch]), np.array([self.size])
+
+    def _switch(self, row, C):
+        return math.nextafter(self.switch, 0.0), self.switch
 
 
 def degenerate_contract(eps: float = 1e-8) -> ContractUtility:
@@ -402,17 +435,65 @@ class TestCalibration:
         assert slope == pytest.approx(fd, rel=1e-6, abs=0.0)
 
     @pytest.mark.parametrize(
-        "gamma, x0, most",
-        [(g, x, n) for (g, x), n in zip(ZERO_BRANCH_PROBLEMS, [43, 36, 25, 37, 36, 34])],
-        ids=[f"gamma{g}-x0{x}" for g, x in ZERO_BRANCH_PROBLEMS],
+        "gamma, x0", ZERO_BRANCH_PROBLEMS, ids=[f"gamma{g}-x0{x}" for g, x in ZERO_BRANCH_PROBLEMS]
     )
-    def test_budget_jumps_cost_no_more_evaluations(self, market, horizon, gamma, x0, most):
-        # the counts of the log-2 walk and Chandrupatla alone; Newton leaves the
-        # bracket to Chandrupatla when a jump stops it halving the excess
-        contract = ContractUtility(PowerUtility(gamma), 0.25, 50.0, 1.0)
-        sol = solve_uncertain_horizon(ProblemSpec(market, contract, horizon, x0), 10_000, seed=1)
+    def test_budget_jumps_cost_no_more_evaluations(self, market, horizon, gamma, x0):
+        # the jump-aware step takes 5/5/6/7/6/6; Chandrupatla on the bracket that
+        # Newton left took 43/36/24/37/34/33, bisecting down to the jump that holds x0
+        sol = solve_uncertain_horizon(zero_branch_spec(market, horizon, gamma, x0), 10_000, seed=1)
         assert sol.zero_mask.any()
-        assert sol.iterations <= most
+        assert sol.iterations <= 10
+
+    @pytest.mark.parametrize(
+        "mu, x0, p, walked", [(0.08, 40.0, 0.1, 10), (-0.02, 100.0, 0.1, 34), (-0.02, 100.0, 0.9, 10)]
+    )
+    def test_budget_jumps_cost_no_more_than_the_walk(self, mu, x0, p, walked):
+        # gamma-0.5 box problems: the log-2 walk and Chandrupatla took ``walked``
+        # evaluations, Newton with Chandrupatla on its bracket 13, 35 and 12
+        market = MarketParams(mu=mu, r=0.03, sigma=0.2)
+        spec = zero_branch_spec(market, HorizonDistribution([8.0], [p], 12.0), 0.5, x0)
+        sol = solve_uncertain_horizon(spec, 10_000, seed=1)
+        assert sol.zero_mask.any()
+        assert sol.iterations <= walked
+
+    def test_newton_needs_fewer_evaluations_than_the_walk(self):
+        # B = 1/C, so dB/dlog C = -1/C
+        for u0 in (-3.0, 0.0, 4.0):
+            c, history, jump = _calibrate(Budget(0.37, lambda c: (1.0 / c, -1.0 / c)), u0, 0.0)
+            walked = log_root(lambda u: math.exp(-u), u0, 0.37)[1]
+            assert abs(math.log(c) + math.log(0.37)) <= 1e-12
+            assert len(history) < len(walked) and jump is None
+
+    def test_newton_stops_on_a_step_below_rounding(self):
+        # the second point brackets the root with an excess so small that log C + step
+        # == log C; that is convergence, not a Newton point outside the bracket
+        def budget_and_slope(c):
+            return (1e-300 if c == math.e else 1.0 - math.log(c)), -1.0
+
+        c, history, _ = _calibrate(Budget(0.0, budget_and_slope), math.log(4.5), 1e-13)
+        assert c == math.e and len(history) == 2
+
+    def test_a_jump_that_holds_x0_ends_beside_its_switch(self):
+        # a drop of 0.2 across x0 at C = e; the slope does not see it.
+        # Chandrupatla on Newton's bracket found it to 1e-12 in up to 60 evaluations
+        def budget_and_slope(c):
+            return 1.0 - 0.01 * math.log(c) - (0.2 if c >= math.e else 0.0), -0.01
+
+        for u0 in (-2.0, 0.9, 1.1, 3.0):
+            c, history, jump = _calibrate(Budget(0.9, budget_and_slope, math.e, 0.2), u0, 1e-13)
+            assert abs(c - math.e) <= 1e-12 * math.e
+            assert len(history) <= 10
+            assert jump[0] <= math.e and jump[1] == pytest.approx(0.2 / 0.9, rel=1e-9)
+
+    def test_without_a_usable_slope_walks_by_log_2(self):
+        # a nan or positive slope takes the walk's steps to the crossing, then
+        # bisects in log C
+        walked = log_root(lambda u: math.exp(-u), -3.0, 0.37, 1e-12)[1]
+        crossing = next(i for i, (_, v) in enumerate(walked) if v < 0.37) + 1
+        for bad in (math.nan, 1.0):
+            c, history, _ = _calibrate(Budget(0.37, lambda c: (1.0 / c, bad)), -3.0, 1e-12)
+            assert [m for m, _ in history[:crossing]] == [m for m, _ in walked[:crossing]]
+            assert abs(math.log(c) + math.log(0.37)) <= 1e-12
 
     def test_sweep_starts_from_the_previous_c_star(self, market, contract, horizon):
         # figure2-sweep's nine solves on one path set took 67 budget evaluations
@@ -465,18 +546,73 @@ class TestCalibration:
         assert info.value.history == tuple(calls) and len(calls) > 1
 
     def test_low_capital_budget_step_raises_with_history(self, market, contract, horizon):
-        # the budget's step at the marginal path is wider than budget_tol
+        # the budget's step at the marginal path, 4.9e-4 x0, is wider than budget_tol;
+        # Chandrupatla bisected down to it in 43 evaluations
         spec = ProblemSpec(market, contract, horizon, 5.0)
         with pytest.raises(ConvergenceError, match="budget residual") as info:
             solve_uncertain_horizon(spec, 10_000, seed=1, budget_tol=1e-4)
+        assert "inside a budget jump of 4.9" in str(info.value)
         history = info.value.history
-        assert history and all(c > 0.0 and b >= 0.0 for c, b in history)
+        assert 0 < len(history) <= 12
+        assert all(c > 0.0 and b >= 0.0 for c, b in history)
 
     def test_unresolved_inner_root_raises(self, contract, horizon):
         # theta = 4.7: the per-path root is not resolved near the cap C/p
         spec = ProblemSpec(MarketParams(mu=0.5, r=0.03, sigma=0.1), contract, horizon, 100.0)
         with pytest.raises(InnerRootError, match="inner residual"):
             solve_uncertain_horizon(spec, 10_000, seed=1)
+
+
+class TestBudgetJumps:
+    @pytest.mark.parametrize("gamma", [3.0, 0.5])
+    def test_switches_flip_the_classification(self, monkeypatch, market, horizon, gamma):
+        spec = zero_branch_spec(market, horizon, gamma, 20.0)
+        sol = solve_uncertain_horizon(spec, 10_000, seed=1)
+        kernel = _InnerKernel(spec, sol.h_T1, sol.w_T1)
+        kernel.budget(0.9 * sol.c_star)
+        kernel.budget(1.1 * sol.c_star)
+        steps = []
+        value_and_slope = _Continuation.value_and_slope
+
+        def counted(claim, log_nu):
+            steps.append(log_nu.size)
+            return value_and_slope(claim, log_nu)
+
+        monkeypatch.setattr(_Continuation, "value_and_slope", counted)
+        rows, switch, sizes = kernel._jumps()
+        # Newton in log C: bisection alone would take about 50 steps
+        assert rows.size > 100 and len(steps) <= 12
+        assert np.all((0.9 * sol.c_star < switch) & (switch < 1.1 * sol.c_star))
+        assert np.array_equal(sizes, sol.h_T1[rows] * (spec.contract.x_hat / 10_000))
+        for i in range(0, rows.size, rows.size // 40):
+            c_lo, c_hi = kernel._switch(int(rows[i]), float(switch[i]))
+            assert c_hi == math.nextafter(c_lo, math.inf)
+            assert c_lo == pytest.approx(switch[i], rel=1e-13, abs=0.0)
+            assert classified_live(kernel, c_lo)[rows[i]]
+            assert not classified_live(kernel, c_hi)[rows[i]]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "gamma, x0", ZERO_BRANCH_PROBLEMS, ids=[f"gamma{g}-x0{x}" for g, x in ZERO_BRANCH_PROBLEMS]
+    )
+    def test_c_star_is_beside_a_switch_or_a_smooth_root(self, market, horizon, gamma, x0, seed):
+        spec = zero_branch_spec(market, horizon, gamma, x0)
+        sol = solve_uncertain_horizon(spec, 10_000, seed=seed)
+        c = sol.c_star
+        kernel = _InnerKernel(spec, sol.h_T1, sol.w_T1)
+        excess = kernel.budget(c) - x0
+        if abs(excess) <= 1e-12 * x0:
+            return
+        # x0 inside a jump: one path switches within the margins around c_star,
+        # and the budget on its other side lies on the other side of x0
+        near = 4.0 * _SWITCH_MARGIN
+        (row,) = np.flatnonzero(classified_live(kernel, c * (1 - near)) & ~classified_live(kernel, c * (1 + near)))
+        back = 1.0 - _SWITCH_MARGIN if classified_live(kernel, c)[row] else 1.0 + _SWITCH_MARGIN
+        c_lo, c_hi = kernel._switch(int(row), c / back)
+        sides = c_lo * (1.0 - _SWITCH_MARGIN), c_hi * (1.0 + _SWITCH_MARGIN)
+        assert c in sides and math.log(sides[1] / sides[0]) <= _LOG_XTOL
+        other = kernel.budget(sides[1] if c == sides[0] else sides[0]) - x0
+        assert excess * other < 0.0 and abs(excess) <= abs(other)
 
 
 class TestBlockedInnerSolve:
