@@ -23,17 +23,16 @@ two sides, or along each root's tangent in log C where one side is kept.
 
 The fixed-horizon problem (no interior stopping mass) is the degenerate
 case with a deterministic terminal multiplier. Both calibrations are one
-scalar root of a budget that decreases in the log of the multiplier. The
-fixed-horizon multiplier takes steps of log 2 to a sign change, then
-Chandrupatla's method on that step (``_roots.log_root``). C takes
-safeguarded Newton steps on the exact slope dB/dlog C of the Monte-Carlo
-budget, which the inner solve yields path by path (``_calibrate``). The
-budget also jumps, by h_i x_hat / n, at the C_i where path i turns to the
-zero branch. Where the jumps stop Newton from halving the excess, the
-paths that switch inside the bracket give their C_i in closed form, one
-vectorised Newton solve in log C, and a model of the budget that steps
-over them picks the next C: a smooth crossing, or the two sides of the
-one jump that holds x0 (``_across_jumps``).
+scalar root of a budget that decreases in the log of the multiplier, found
+by ``_roots.calibrate``: safeguarded Newton steps on the exact slope, the
+closed-form dV/dlog nu of the fixed-horizon claim, or dB/dlog C of the
+Monte-Carlo budget, which the inner solve yields path by path. That budget
+also jumps, by h_i x_hat / n, at the C_i where path i turns to the zero
+branch. Where the jumps stop Newton from halving the excess, the paths
+that switch inside the bracket give their C_i in closed form, one
+vectorised Newton solve in log C (``_InnerKernel._jumps``), and a model of
+the budget that steps over them picks the next C: a smooth crossing, or
+the two sides of the one jump that holds x0.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.special import ndtr
 
-from ._roots import _EPS, _LOG_2, _MAX_BRACKET_STEPS, _MAX_STEPS, ConvergenceError, log_root
+from ._roots import ConvergenceError, calibrate, flip, newton
 from .market import (
     DENSITY_RTOL,
     HorizonDistribution,
@@ -81,11 +80,6 @@ _INNER_LOG_SPAN = 69.0  # lower bracket endpoint: e^-69 ~ 1e-30 of the cap
 _LOG_XTOL = 4e-13
 # Per-path inner residual allowed at the final solve, relative to max(wealth, 1).
 _INNER_RESIDUAL_RTOL = 1e-10
-# Relative distance from a path's switch at which C is evaluated on either side:
-# within _LOG_XTOL together, and far beyond the few doubles around the switch
-# where a path's root sits at its zero edge and the Newton start decides whether
-# its wealth is x_hat or 0.
-_SWITCH_MARGIN = _LOG_XTOL / 4.0
 # The inner solve splits more paths than this into blocks of this many: a
 # block's arrays stay in the per-core L2 cache, and blocks can run on worker
 # threads. Newton is elementwise, so the roots depend on neither the block
@@ -254,8 +248,9 @@ def solve_fixed_horizon(spec: ProblemSpec, horizon: float | None = None) -> Fixe
 
     Requires a horizon with no interior stopping mass (or an explicit
     horizon date). The budget, the time-0 price of the optimal terminal
-    claim, is strictly decreasing in the multiplier; ``log_root`` finds its
-    root in log nu from the Merton multiplier of the same capital.
+    claim, is strictly decreasing in the multiplier; ``calibrate`` finds its
+    root by Newton steps in log nu on the claim's closed-form slope, from
+    the Merton multiplier of the same capital.
     """
     if horizon is None:
         if spec.horizon.dates:
@@ -267,7 +262,7 @@ def solve_fixed_horizon(spec: ProblemSpec, horizon: float | None = None) -> Fixe
     claim = _Continuation(spec, 0.0, horizon, 0.0, 1.0)
     x0 = spec.x0
     u0 = -claim.gamma * math.log(x0 / claim.f_q)  # log of the Merton multiplier
-    nu = math.exp(log_root(lambda u: float(claim.value(u)), u0, x0, _LOG_XTOL)[0])
+    nu = calibrate(lambda nu: claim.value_and_slope(math.log(nu)), x0, u0, _LOG_XTOL)[0]
     residual = abs(float(claim.value(math.log(nu))) - x0) / x0
     if residual > 1e-10:
         raise ConvergenceError(
@@ -405,9 +400,16 @@ class _InnerKernel:
             s, claim = block
             top = np.minimum(self.zero_edge[s][live], hi)
             u = np.clip(start if np.ndim(start) == 0 else start[s][live], lo, top)
-            claim = claim.part(live)
-            f_u = u if tangent else None  # _newton reads u only before it writes F_u
-            roots = log_x[s][live] = self._newton(C, claim, u, lo, top, f_u)
+            claim = running = claim.part(live)
+
+            def fun(u, keep):
+                nonlocal running
+                if keep is not None:
+                    running = running.part(keep)
+                return self.residual_and_slope(u, C, running)
+
+            f_u = u if tangent else None  # newton reads u only before it writes F_u
+            roots = log_x[s][live] = newton(fun, u, lo, top, f_u)
             if not tangent:
                 return 0.0
             wealth_slope = claim.scale / claim.gamma * np.exp(-roots / claim.gamma) * claim.h_pow
@@ -434,46 +436,6 @@ class _InnerKernel:
             return -math.inf
         h_pow = claim.h_pow.min() if gap > 0.0 else claim.h_pow.max()
         return claim.scale * float(h_pow) * gap - claim.shift - max(0.0, -claim.shift) * claim.f_1
-
-    def _newton(self, C: float, claim: _Continuation, u, lo: float, top, slope=None):
-        """Roots of F on [lo, top] from u, for F(lo) > 0 >= F(top) on the paths of ``claim``.
-
-        Each step moves a bracket end to u by the sign of F(u), then takes the
-        Newton point, or the bracket midpoint where that leaves the closed
-        bracket. A path is done, at its last Newton point, once that step is
-        at most 4 eps max(1, |u|) or F(u) is exactly 0; it then leaves the
-        arrays. After _MAX_STEPS steps the last points are returned unchecked.
-        ``slope``, an array like u when given, receives F_u at each path's
-        last point; it may be u itself, which is read only before the first
-        write.
-        """
-        roots = np.empty_like(u)
-        rows = np.arange(u.size)
-        a, b = np.full_like(u, lo), top
-        for _ in range(_MAX_STEPS):
-            f, f_u = self.residual_and_slope(u, C, claim)
-            step = f / f_u
-            above = f > 0.0
-            a, b = np.where(above, u, a), np.where(above, b, u)
-            nxt = u - step
-            nxt = np.where((a <= nxt) & (nxt <= b), nxt, 0.5 * (a + b))
-            done = (np.abs(step) <= 4.0 * _EPS * np.maximum(1.0, np.abs(u))) | (f == 0.0)
-            if done.all():
-                roots[rows] = nxt
-                if slope is not None:
-                    slope[rows] = f_u
-                return roots
-            if done.any():
-                roots[rows[done]] = nxt[done]
-                if slope is not None:
-                    slope[rows[done]] = f_u[done]
-                keep = np.flatnonzero(~done)
-                rows, nxt, a, b, claim = rows[keep], nxt[keep], a[keep], b[keep], claim.part(keep)
-            u = nxt
-        roots[rows] = u
-        if slope is not None:
-            slope[rows] = f_u
-        return roots
 
     def solve(self, C: float):
         """Per-path root from log C, zero-branch detection, wealth and residuals."""
@@ -549,35 +511,29 @@ class _InnerKernel:
         F(zero_edge_i, C) = 0: at a fixed log x, F increases in C at
         dF/dlog C = -V'(log nu_T) C/(C - p x), V' from ``value_and_slope``.
         Where the edge lies at or above the cap hi(C) the classification
-        tests F(hi) < 0 instead, so C counts as live. One bracketed Newton
-        solve in log C for all the paths, each point that leaves its
-        bracket replaced by the midpoint, until every step is at most
-        4 eps max(1, |log C|).
+        tests F(hi) < 0 instead, so C counts as live. ``newton`` solves -F,
+        which decreases in log C, for all the paths at once, from the
+        middle of the bracket in log C.
         """
         (c_lo, low), (c_hi, high) = self._low, self._high
         rows = np.flatnonzero(np.isfinite(low) & np.isinf(high))
         sizes = self.h_T1[rows] * (self.spec.contract.x_hat / self.h_T1.size)
-        claim = self.claim.part(rows)
-        edge = self.zero_edge[rows]
-        px = self.p * np.exp(edge)
-        stop_wealth = claim.scale * np.exp(-edge / claim.gamma) * claim.h_pow - claim.shift
-        a, b = np.full(edge.size, math.log(c_lo)), np.full(edge.size, math.log(c_hi))
-        v = 0.5 * (a + b)
-        for _ in range(_MAX_STEPS):
+        claim, edge = self.claim.part(rows), self.zero_edge[rows]
+
+        def fun(v, keep):
+            nonlocal claim, edge
+            if keep is not None:
+                claim, edge = claim.part(keep), edge[keep]
             C = np.exp(v)
-            rest = C - px
+            rest = C - self.p * np.exp(edge)
+            stop_wealth = claim.scale * np.exp(-edge / claim.gamma) * claim.h_pow - claim.shift
             with np.errstate(invalid="ignore", divide="ignore"):  # beyond the cap, C <= p x
                 value, slope = claim.value_and_slope(np.log(rest / (1.0 - self.p)))
-            f = np.where(edge < np.log(C / self.p) + math.log1p(-1e-13), stop_wealth - value, -np.inf)
-            a, b = np.where(f > 0.0, a, v), np.where(f > 0.0, v, b)
-            with np.errstate(invalid="ignore"):
-                nxt = v + f * rest / (slope * C)
-            nxt = np.where((a <= nxt) & (nxt <= b), nxt, 0.5 * (a + b))
-            done = np.all((np.abs(nxt - v) <= 4.0 * _EPS * np.maximum(1.0, np.abs(v))) | (f == 0.0))
-            v = nxt
-            if done:
-                break
-        return rows, np.exp(v), sizes
+                below_cap = edge < np.log(C / self.p) + math.log1p(-1e-13)
+                return np.where(below_cap, value - stop_wealth, np.inf), slope * C / rest
+
+        lo, hi = math.log(c_lo), math.log(c_hi)
+        return rows, np.exp(newton(fun, np.full(rows.size, 0.5 * (lo + hi)), lo, hi)), sizes
 
     def _live(self, row: int, C: float) -> bool:
         """The classification of ``_roots`` for path ``row`` at C: F(min(edge, hi)) <= 0."""
@@ -588,133 +544,10 @@ class _InnerKernel:
     def _switch(self, row: int, C: float):
         """Adjacent doubles c < nextafter(c) near C at which path ``row`` turns from live to zero.
 
-        A walk by single doubles from C, as ``payoff._solve_tangency`` takes;
-        None when it has not found the switch after _MAX_STEPS doubles.
+        ``flip`` walks to them by single doubles from C, as it walks to the
+        tangency wealth; None when it has not found them after 100 doubles.
         """
-        up = self._live(row, C)
-        for _ in range(_MAX_STEPS):
-            nxt = math.nextafter(C, math.inf if up else 0.0)
-            if self._live(row, nxt) != up:
-                return (C, nxt) if up else (nxt, C)
-            C = nxt
-        return None
-
-
-def _calibrate(kernel: _InnerKernel, u0: float, xtol: float):
-    """C with budget(C) = x0 from log C = u0; see ``solve_uncertain_horizon``.
-
-    Newton steps in log C on the exact slope, clipped to log 2 until the
-    budget crosses x0, then taken only while each lands inside the bracket
-    and the step before it at least halved |B - x0|; otherwise
-    ``_across_jumps`` takes over on the bracket. A step of at most
-    4 eps |log C| + xtol ends the search at C times e^step, before the
-    bracket is consulted. Where the slope is not negative the step is
-    log 2. Returns C, the (C, budget) pair of each evaluation, and, where
-    the search ended on a bracket, its low end and the budget's drop
-    across it relative to x0; else None.
-    """
-    x0 = kernel.spec.x0
-    history = []
-
-    def excess(C):
-        value, slope = kernel.budget_and_slope(C)
-        history.append((C, value))
-        return value - x0, slope
-
-    u, (f_u, df) = u0, excess(math.exp(u0))
-    above = below = None  # the nearest evaluated (C, excess, slope) with excess > 0 and < 0
-    halved = True
-    for _ in range(_MAX_BRACKET_STEPS):
-        if f_u == 0.0:
-            return math.exp(u), tuple(history), None
-        if f_u > 0.0:
-            above = (math.exp(u), f_u, df)
-        else:
-            below = (math.exp(u), f_u, df)
-        step = -f_u / df if df < 0.0 else math.nan
-        if not (above and below):  # no crossing yet: at most log 2 toward it
-            step = min(max(step, -_LOG_2), _LOG_2) if df < 0.0 else math.copysign(_LOG_2, f_u)
-        if abs(step) <= 4.0 * _EPS * abs(u) + xtol:
-            return math.exp(u + step), tuple(history), None
-        if above and below:
-            end = math.log((below if f_u > 0.0 else above)[0])
-            if not (halved and min(u, end) < u + step < max(u, end)):
-                newest = above if f_u > 0.0 else below
-                c, jump = _across_jumps(kernel, excess, above, below, newest, xtol)
-                return c, tuple(history), jump
-        f_prev = f_u
-        u += step
-        f_u, df = excess(math.exp(u))
-        halved = abs(f_u) <= 0.5 * abs(f_prev)
-    raise ConvergenceError(
-        f"no sign change in {_MAX_BRACKET_STEPS} steps of log 2 from {math.exp(u0)!r}", history
-    )
-
-
-def _across_jumps(kernel: _InnerKernel, excess, above, below, newest, xtol: float):
-    """The calibration of C on a bracket whose budget jumps, from ``_calibrate``.
-
-    The paths live at the bracket's low end and on the zero branch at its
-    high end are the budget's jumps in between: path i takes h_i x_hat / n
-    out of the budget from its switch C_i on (``_jumps``, and ``_switch``
-    once walked to the double). The model of the budget from the newest
-    evaluated end, its value and slope in log C less (or plus) the jumps
-    passed, gives the next C: its crossing of x0 on a smooth piece, or,
-    where x0 lies inside path k's jump, _SWITCH_MARGIN beyond the side of
-    path k's switch with the smaller modelled |B - x0|, then beyond the
-    other. A modelled smooth crossing within 4 eps |log C| + xtol of the
-    newest end, with no jump between, ends the search there; a next C
-    outside the bracket is replaced by the midpoint in log C. Ends when
-    the bracket is at most 4 eps |log C| + xtol wide, on the end with the
-    smaller |B - x0|.
-    """
-    x0 = kernel.spec.x0
-    rows, switch, jumps = kernel._jumps()
-    for _ in range(_MAX_STEPS):
-        u_a, u_b = math.log(above[0]), math.log(below[0])
-        if u_b - u_a <= 4.0 * _EPS * max(abs(u_a), abs(u_b)) + xtol:
-            break
-        c_n, f_n, s_n = newest
-        u_n, up = math.log(c_n), f_n > 0.0
-        # the jumps inside the bracket, nearest to the newest end first
-        inside = np.flatnonzero((above[0] < switch) & (switch <= below[0]))
-        inside = inside[np.argsort(switch[inside] if up else -switch[inside], kind="stable")]
-        dist, size = np.abs(np.log(switch[inside]) - u_n), jumps[inside]
-        # |excess| from the newest end falls with distance and with each jump passed
-        g, rate = abs(f_n), -s_n
-        c = None
-        if rate > 0.0:
-            passed = np.cumsum(size)
-            before = g - rate * dist - (passed - size)
-            crossed = np.flatnonzero(before <= size)
-            k = crossed[0] if crossed.size else size.size
-            if k < size.size and before[k] > 0.0:  # x0 inside the jump of path k
-                i = inside[k]
-                walked = kernel._switch(int(rows[i]), float(switch[i]))
-                if walked is not None:
-                    switch[i] = walked[1]
-                    # a margin beyond the switch, where every Newton start classifies alike
-                    sides = walked[0] * (1.0 - _SWITCH_MARGIN), walked[1] * (1.0 + _SWITCH_MARGIN)
-                    near, far = sides if up else sides[::-1]
-                    first, second = (near, far) if before[k] < size[k] - before[k] else (far, near)
-                    c = first if above[0] < first < below[0] else second
-            else:
-                step = (g - (passed[k - 1] if k else 0.0)) / rate
-                c = math.exp(u_n + step if up else u_n - step)
-                if k == 0 and step <= 4.0 * _EPS * abs(u_n) + xtol:
-                    return c, None
-        if c is None or not above[0] < c < below[0]:
-            c = math.exp(0.5 * (u_a + u_b))
-        f, s = excess(c)
-        if f == 0.0:
-            return c, None
-        newest = (c, f, s)
-        if f > 0.0:
-            above = newest
-        else:
-            below = newest
-    best = above if abs(above[1]) < abs(below[1]) else below
-    return best[0], (above[0], (above[1] - below[1]) / x0)
+        return flip(lambda c: self._live(row, c), C)
 
 
 def solve_inner_nu_T(h_T1, w_T1, C: float, spec: ProblemSpec):
@@ -808,7 +641,9 @@ def solve_uncertain_horizon(
         raise ValueError(f"c_start must be positive and finite, got {c_start}")
     with ThreadPoolExecutor(n_workers) if n_workers > 1 else contextlib.nullcontext() as pool:
         kernel = _InnerKernel(spec, h_T1, w_T1, pool)
-        c_star, history, jump = _calibrate(kernel, math.log(c_start), _LOG_XTOL)
+        c_star, history, jump = calibrate(
+            kernel.budget_and_slope, x0, math.log(c_start), _LOG_XTOL, kernel
+        )
         nu_T1, nu_T, wealth_T1, residuals, zero = kernel.solve(c_star)
     residuals = np.where(zero, np.nan, residuals)
     off = ~zero & ~(np.abs(residuals) <= _INNER_RESIDUAL_RTOL * np.maximum(wealth_T1, 1.0))

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._roots import log_root
+from ._roots import _EPS, ConvergenceError, calibrate, flip
 
 __all__ = [
     "PowerUtility",
@@ -80,19 +80,25 @@ def _solve_tangency(base: PowerUtility, alpha: float, b: float, k: float) -> flo
         z = alpha * (x - b) + k
         return float(base.value(z) - base.value(k) - alpha * base.marginal(z) * x)
 
+    def falling(x: float):
+        # -residual and its slope in log x: d residual/dx = -alpha^2 U''(z) x
+        z = alpha * (x - b) + k
+        return -residual(x), -base.gamma * alpha**2 * x * x * z ** (-base.gamma - 1.0)
+
     lo = b * (1.0 + 1e-9) if b > 0 else 1e-12
     if residual(lo) >= 0.0:
         # Chord already touches at the kink; degenerate contract.
         return lo
-    log_x, _ = log_root(lambda v: -residual(math.exp(v)), math.log(lo), 0.0)
-    # The largest double with residual <= 0: the chord with slope u'(x_hat)
-    # then lies on or above u at x_hat, and so on all of [0, x_hat].
-    x = math.exp(log_x)
-    while residual(x) > 0.0:
-        x = math.nextafter(x, 0.0)
-    while residual(up := math.nextafter(x, math.inf)) <= 0.0:
-        x = up
-    return x
+    # log x resolves x far below its last bit where x is near 1: stop on a
+    # step of one double and leave the last bits to the walk
+    x = calibrate(falling, 0.0, math.log(lo), _EPS)[0]
+    # A double with residual <= 0 whose next double has residual > 0: the
+    # chord with slope u'(x_hat) then lies on or above u at x_hat, and so on
+    # all of [0, x_hat].
+    walked = flip(lambda x: residual(x) <= 0.0, x)
+    if walked is None:
+        raise ConvergenceError(f"the tangency residual does not flip near {x!r}", [])
+    return walked[0]
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ import gc
 import math
 import sys
 import threading
-import types
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -37,14 +37,13 @@ from horizonopt import (
     strategy_at,
     wealth_at,
 )
-from horizonopt._roots import log_root
+from horizonopt import nonconcave
+from horizonopt._roots import _LOG_2, _SWITCH_MARGIN, calibrate
 from horizonopt.nonconcave import (
     _LOG_XTOL,
     _ROOT_BLOCK,
-    _SWITCH_MARGIN,
     ConvergenceError,
     InnerRootError,
-    _calibrate,
     _Continuation,
     _InnerKernel,
 )
@@ -74,24 +73,26 @@ def classified_live(kernel: _InnerKernel, C: float):
     return kernel.residual(np.minimum(kernel.zero_edge, kernel._bracket(C)[1]), C) <= 0.0
 
 
-class Budget:
-    """A stand-in kernel for ``_calibrate``: budget_and_slope(C) and at most one jump.
+class OneJump:
+    """A stand-in kernel for ``calibrate``: one jump of ``size`` that starts at C = ``switch``."""
 
-    ``switch`` is the C at which the one jump starts, with ``size`` its drop.
-    """
-
-    def __init__(self, x0: float, budget_and_slope, switch: float = math.nan, size: float = 0.0):
-        self.spec = types.SimpleNamespace(x0=x0)
-        self.budget_and_slope = budget_and_slope
+    def __init__(self, switch: float, size: float):
         self.switch, self.size = switch, size
 
     def _jumps(self):
-        if math.isnan(self.switch):
-            return np.empty(0, dtype=np.intp), np.empty(0), np.empty(0)
         return np.zeros(1, dtype=np.intp), np.array([self.switch]), np.array([self.size])
 
     def _switch(self, row, C):
         return math.nextafter(self.switch, 0.0), self.switch
+
+
+def walk(u0: float, target: float):
+    """The multipliers exp(u0 + k log 2) of B = 1/C, by steps of log 2, to its crossing."""
+    u, walked = u0, [math.exp(u0)]
+    while (1.0 / walked[0] > target) == (1.0 / walked[-1] > target):
+        u += _LOG_2 if 1.0 / walked[0] > target else -_LOG_2
+        walked.append(math.exp(u))
+    return walked
 
 
 def degenerate_contract(eps: float = 1e-8) -> ContractUtility:
@@ -101,8 +102,11 @@ def degenerate_contract(eps: float = 1e-8) -> ContractUtility:
 
 
 class TestFixedHorizon:
-    def test_budget_residual(self, market, contract):
-        spec = ProblemSpec(market, contract, HorizonDistribution([], [], 12.0), 100.0)
+    @pytest.mark.parametrize("gamma", [0.5, 3.0, 8.0])
+    @pytest.mark.parametrize("x0", [1.0, 5.0, 20.0, 100.0, 1e4])
+    def test_budget_residual(self, market, gamma, x0):
+        contract = ContractUtility(PowerUtility(gamma), 0.25, 50.0, 1.0)
+        spec = ProblemSpec(market, contract, HorizonDistribution([], [], 12.0), x0)
         sol = solve_fixed_horizon(spec)
         assert sol.budget_residual <= 1e-10
 
@@ -382,19 +386,19 @@ class TestCalibration:
 
     @pytest.fixture
     def newton_steps(self, monkeypatch):
-        """The steps of each inner Newton solve, in call order."""
+        """The steps of each inner Newton solve, in call order (0 for a jump solve)."""
         steps = []
-        newton, residual_and_slope = _InnerKernel._newton, _InnerKernel.residual_and_slope
+        newton, residual_and_slope = nonconcave.newton, _InnerKernel.residual_and_slope
 
-        def counted_newton(self, *args):
+        def counted_newton(*args):
             steps.append(0)
-            return newton(self, *args)
+            return newton(*args)
 
         def counted_step(self, *args):
             steps[-1] += 1
             return residual_and_slope(self, *args)
 
-        monkeypatch.setattr(_InnerKernel, "_newton", counted_newton)
+        monkeypatch.setattr(nonconcave, "newton", counted_newton)
         monkeypatch.setattr(_InnerKernel, "residual_and_slope", counted_step)
         return steps
 
@@ -457,12 +461,12 @@ class TestCalibration:
         assert sol.iterations <= walked
 
     def test_newton_needs_fewer_evaluations_than_the_walk(self):
-        # B = 1/C, so dB/dlog C = -1/C
-        for u0 in (-3.0, 0.0, 4.0):
-            c, history, jump = _calibrate(Budget(0.37, lambda c: (1.0 / c, -1.0 / c)), u0, 0.0)
-            walked = log_root(lambda u: math.exp(-u), u0, 0.37)[1]
+        # B = 1/C, so dB/dlog C = -1/C. The log-2 walk with Chandrupatla on its
+        # last step took ``walked`` evaluations; the walk alone takes 7, 3 and 6
+        for u0, walked in ((-3.0, 13), (0.0, 8), (4.0, 12)):
+            c, history, jump = calibrate(lambda c: (1.0 / c, -1.0 / c), 0.37, u0, 0.0)
             assert abs(math.log(c) + math.log(0.37)) <= 1e-12
-            assert len(history) < len(walked) and jump is None
+            assert len(history) < walked and jump is None
 
     def test_newton_stops_on_a_step_below_rounding(self):
         # the second point brackets the root with an excess so small that log C + step
@@ -470,7 +474,7 @@ class TestCalibration:
         def budget_and_slope(c):
             return (1e-300 if c == math.e else 1.0 - math.log(c)), -1.0
 
-        c, history, _ = _calibrate(Budget(0.0, budget_and_slope), math.log(4.5), 1e-13)
+        c, history, _ = calibrate(budget_and_slope, 0.0, math.log(4.5), 1e-13)
         assert c == math.e and len(history) == 2
 
     def test_a_jump_that_holds_x0_ends_beside_its_switch(self):
@@ -480,7 +484,7 @@ class TestCalibration:
             return 1.0 - 0.01 * math.log(c) - (0.2 if c >= math.e else 0.0), -0.01
 
         for u0 in (-2.0, 0.9, 1.1, 3.0):
-            c, history, jump = _calibrate(Budget(0.9, budget_and_slope, math.e, 0.2), u0, 1e-13)
+            c, history, jump = calibrate(budget_and_slope, 0.9, u0, 1e-13, OneJump(math.e, 0.2))
             assert abs(c - math.e) <= 1e-12 * math.e
             assert len(history) <= 10
             assert jump[0] <= math.e and jump[1] == pytest.approx(0.2 / 0.9, rel=1e-9)
@@ -488,11 +492,10 @@ class TestCalibration:
     def test_without_a_usable_slope_walks_by_log_2(self):
         # a nan or positive slope takes the walk's steps to the crossing, then
         # bisects in log C
-        walked = log_root(lambda u: math.exp(-u), -3.0, 0.37, 1e-12)[1]
-        crossing = next(i for i, (_, v) in enumerate(walked) if v < 0.37) + 1
+        walked = walk(-3.0, 0.37)
         for bad in (math.nan, 1.0):
-            c, history, _ = _calibrate(Budget(0.37, lambda c: (1.0 / c, bad)), -3.0, 1e-12)
-            assert [m for m, _ in history[:crossing]] == [m for m, _ in walked[:crossing]]
+            c, history, _ = calibrate(lambda c: (1.0 / c, bad), 0.37, -3.0, 1e-12)
+            assert [m for m, _ in history[: len(walked)]] == walked
             assert abs(math.log(c) + math.log(0.37)) <= 1e-12
 
     def test_sweep_starts_from_the_previous_c_star(self, market, contract, horizon):
@@ -529,22 +532,6 @@ class TestCalibration:
             gc.enable()
         assert after == before
 
-    def test_log_root_brackets_from_either_side(self):
-        for u0 in (-20.0, 3.0, 40.0):
-            u, _ = log_root(lambda u: 5.0 - u, u0, 2.0)
-            assert abs(u - 3.0) <= 1e-12
-
-    def test_log_root_without_sign_change_raises(self):
-        calls = []
-
-        def value(u):
-            calls.append((math.exp(u), math.exp(-u)))
-            return calls[-1][1]
-
-        with pytest.raises(ConvergenceError, match="no sign change") as info:
-            log_root(value, 0.0, 0.0)
-        assert info.value.history == tuple(calls) and len(calls) > 1
-
     def test_low_capital_budget_step_raises_with_history(self, market, contract, horizon):
         # the budget's step at the marginal path, 4.9e-4 x0, is wider than budget_tol;
         # Chandrupatla bisected down to it in 43 evaluations
@@ -555,6 +542,16 @@ class TestCalibration:
         history = info.value.history
         assert 0 < len(history) <= 12
         assert all(c > 0.0 and b >= 0.0 for c, b in history)
+
+    def test_theta_zero_jump_raises_without_a_warning(self):
+        # theta = 0: the continuation's slope in log nu_T is 0 off the truncation
+        # event, so the jump solve meets Newton steps of F/0
+        market = MarketParams(mu=0.03, r=0.03, sigma=0.2)
+        spec = zero_branch_spec(market, HorizonDistribution([8.0], [0.9], 12.0), 8.0, 40.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError, match="inside a budget jump of"):
+                solve_uncertain_horizon(spec, 10_000, seed=1)
 
     def test_unresolved_inner_root_raises(self, contract, horizon):
         # theta = 4.7: the per-path root is not resolved near the cap C/p

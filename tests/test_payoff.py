@@ -24,6 +24,8 @@ from horizonopt import (
     subdifferential,
     tangency_point,
 )
+from horizonopt import payoff
+from horizonopt._roots import calibrate
 
 contract_params = st.tuples(
     st.floats(0.5, 8.0).filter(lambda g: abs(g - 1.0) > 0.05),  # gamma
@@ -126,6 +128,47 @@ class TestTangencyPoint:
         lhs = float(c.base.value(z) - c.base.value(c.guarantee))
         rhs = float(c.participation * c.base.marginal(z) * x_hat)
         assert abs(lhs - rhs) <= 1e-9 * max(abs(lhs), abs(rhs))
+
+
+def tangency_residual(c: ContractUtility, x: float) -> float:
+    """u(x) - u(0) - u'(x) x in the arithmetic of the tangency solve."""
+    alpha, base = c.participation, c.base
+    z = alpha * (x - c.threshold) + c.guarantee
+    return float(base.value(z) - base.value(c.guarantee) - alpha * base.marginal(z) * x)
+
+
+def assert_last_double_below_the_chord(c: ContractUtility) -> None:
+    x_hat = tangency_point(c)
+    above = math.nextafter(x_hat, math.inf)
+    assert tangency_residual(c, x_hat) <= 0.0 < tangency_residual(c, above)
+
+
+class TestTangencyLastBit:
+    """x_hat is a double with residual <= 0 whose next double has residual > 0."""
+
+    @pytest.mark.parametrize("gamma", [3.0, 0.5])
+    def test_baseline_contracts(self, gamma):
+        assert_last_double_below_the_chord(make_contract(gamma, 0.25, 50.0, 1.0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(params=contract_params)
+    def test_random_contracts(self, params):
+        assert_last_double_below_the_chord(make_contract(*params))
+
+    def test_near_one_newton_stops_within_a_double(self, monkeypatch):
+        # x_hat = 1.072: log x resolves x some 15 times finer than a double, so
+        # a stop rule in log x alone takes 112 evaluations here
+        evaluations = []
+
+        def counted(*args):
+            out = calibrate(*args)
+            evaluations.append(len(out[1]))
+            return out
+
+        monkeypatch.setattr(payoff, "calibrate", counted)
+        c = make_contract(8.0, 1.0, 1.0, 0.1)
+        assert evaluations and evaluations[0] <= 12
+        assert_last_double_below_the_chord(c)
 
 
 class TestEnvelope:
