@@ -85,6 +85,10 @@ _INNER_RESIDUAL_RTOL = 1e-10
 # threads. Newton is elementwise, so the roots depend on neither the block
 # size nor the worker count.
 _ROOT_BLOCK = 16_384
+# ndtr(z) is exactly 1.0 from z = 8.292361075813597 on; at 8.5 its tail,
+# 9.5e-18, is a sixth of 2^-54. At x0 = 100 nearly every path of an inner
+# solve lies beyond it.
+_NDTR_ONE = 8.5
 
 
 class InnerRootError(RuntimeError):
@@ -180,7 +184,9 @@ class _Continuation:
     constants are computed once; ``value``, ``value_and_slope`` and
     ``delta`` take log nu_T. When the truncation event is known at t
     (theta = 0, or t = T) each g is f times the indicator of
-    {nu_T H_T <= slope}, as in g_factor.
+    {nu_T H_T <= slope}, as in g_factor. Both ndtr factors are exactly
+    1.0 where z_1 >= _NDTR_ONE, so ``_ndtr`` calls ndtr on the other paths
+    only.
     """
 
     def __init__(self, spec: ProblemSpec, t: float, T: float, w, h):
@@ -199,6 +205,7 @@ class _Continuation:
         self.f_q = float(f_factor(self.q, t, T, m))
         self.f_1 = float(f_factor(1.0, t, T, m))
         self.s_dt = abs(m.theta) * math.sqrt(T - t)
+        self._cut = np.ndim(self.edge) == 1  # ``_ndtr`` compacts paths by flat index
 
     def part(self, rows):
         """The same claim on the paths ``rows``: views for a slice, copies for indices."""
@@ -215,25 +222,45 @@ class _Continuation:
         """scale nu_T^(-1/gamma) h^(-1/gamma) f_q, the first term before truncation."""
         return self.scale * np.exp(-log_nu / self.gamma) * self.h_pow * self.f_q
 
+    def _ndtr(self, z_q, z_1):
+        """ndtr(z_q) and ndtr(z_1), bit for bit, calling ndtr only where z_1 < _NDTR_ONE.
+
+        z_q - z_1 = s_dt / gamma > 0, so where z_1 >= _NDTR_ONE both are 1.0.
+        The test is negated so that NaN still reaches ndtr. Where fewer than a
+        quarter of the paths saturate, compacting costs more than it saves.
+        Indices, not a boolean mask: a mask scattered over the paths costs
+        about eight times as much to index with. Not ndtr(z, out=..., where=...):
+        with scipy 1.17.1 that crashed on a mixed mask.
+        """
+        if not self._cut:
+            return ndtr(z_q), ndtr(z_1)
+        low = np.flatnonzero(~(z_1 >= _NDTR_ONE))
+        if 4 * low.size > 3 * z_1.size:
+            return ndtr(z_q), ndtr(z_1)
+        n_q, n_1 = np.ones(z_1.size), np.ones(z_1.size)
+        n_q[low] = ndtr(z_q[low])
+        n_1[low] = ndtr(z_1[low])
+        return n_q, n_1
+
     def value(self, log_nu):
         lead = self._lead(log_nu)
         if self.s_dt == 0.0:
             return (lead - self.shift * self.f_1) * (self.edge >= log_nu)
-        z_q, z_1 = self._z(log_nu)
-        return lead * ndtr(z_q) - self.shift * self.f_1 * ndtr(z_1)
+        n_q, n_1 = self._ndtr(*self._z(log_nu))
+        return lead * n_q - self.shift * self.f_1 * n_1
 
     def value_and_slope(self, log_nu):
         """V and dV/d log nu_T: the lead falls at 1/gamma, both z at 1/s_dt.
 
-        ``value`` stays separate: without the two densities it costs about 40% less.
+        ``value`` stays separate: without the two densities it costs about half as much.
         """
         lead = self._lead(log_nu)
         if self.s_dt == 0.0:
             alive = self.edge >= log_nu
             return (lead - self.shift * self.f_1) * alive, -lead / self.gamma * alive
         z_q, z_1 = self._z(log_nu)
-        n_q = ndtr(z_q)
-        value = lead * n_q - self.shift * self.f_1 * ndtr(z_1)
+        n_q, n_1 = self._ndtr(z_q, z_1)
+        value = lead * n_q - self.shift * self.f_1 * n_1
         return value, -lead * n_q / self.gamma - (
             lead * norm_pdf(z_q) - self.shift * self.f_1 * norm_pdf(z_1)
         ) / self.s_dt
@@ -350,10 +377,6 @@ class _InnerKernel:
         cap = math.log(C / self.p)
         return cap - _INNER_LOG_SPAN, cap + math.log1p(-1e-13)
 
-    def _log_roots(self, C: float, start):
-        """Per-path log x*(C), Newton from ``start`` (scalar or per path); +inf on zero paths."""
-        return self._roots(C, start)[0]
-
     def _roots(self, C: float, start, tangent: bool = False):
         """Per-path log x*(C) from ``start``; with ``tangent`` also du/dlog C and dB/dlog C.
 
@@ -439,7 +462,7 @@ class _InnerKernel:
 
     def solve(self, C: float):
         """Per-path root from log C, zero-branch detection, wealth and residuals."""
-        log_x = self._log_roots(C, math.log(C))
+        log_x = self._roots(C, math.log(C))[0]
         x = np.exp(log_x)
         nu_T = (C - self.p * x) / (1.0 - self.p)
         with np.errstate(invalid="ignore"):  # nan, from log(-inf), on the zero branch

@@ -18,6 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from horizonopt import (
     ContractUtility,
@@ -629,11 +630,11 @@ class TestBlockedInnerSolve:
         c_fixed = solve_fixed_horizon(spec, horizon=12.0).nu
         # every path live, and 2% of them on the zero branch
         for c in (c_fixed, 100.0 * c_fixed):
-            cold = kernel._log_roots(c, math.log(c))
-            assert cold.tobytes() == whole._log_roots(c, math.log(c)).tobytes()
-            start = 0.5 * (kernel._log_roots(0.9 * c, 0.0) + kernel._log_roots(1.1 * c, 0.0))
-            warm = kernel._log_roots(c, start)
-            assert warm.tobytes() == whole._log_roots(c, start).tobytes()
+            cold = kernel._roots(c, math.log(c))[0]
+            assert cold.tobytes() == whole._roots(c, math.log(c))[0].tobytes()
+            start = 0.5 * (kernel._roots(0.9 * c, 0.0)[0] + kernel._roots(1.1 * c, 0.0)[0])
+            warm = kernel._roots(c, start)[0]
+            assert warm.tobytes() == whole._roots(c, start)[0].tobytes()
             np.testing.assert_allclose(warm, cold, rtol=1e-14, atol=0.0)
 
     def test_slope_does_not_depend_on_workers(self, spec, kernel):
@@ -643,7 +644,7 @@ class TestBlockedInnerSolve:
         sys.setswitchinterval(1e-5)
         try:
             for c in (c_fixed, 100.0 * c_fixed):
-                start = kernel._log_roots(0.9 * c, math.log(c))
+                start = kernel._roots(0.9 * c, math.log(c))[0]
                 results = []
                 for n in (1, 2, 4):
                     with ThreadPoolExecutor(n) as pool:
@@ -653,7 +654,7 @@ class TestBlockedInnerSolve:
                 log_x, du, slope = results[0]
                 assert slope < 0.0 and np.all(du[np.isfinite(log_x)] > 0.0)
                 assert np.all(du[~np.isfinite(log_x)] == 0.0)
-                assert log_x.tobytes() == kernel._log_roots(c, start).tobytes()
+                assert log_x.tobytes() == kernel._roots(c, start)[0].tobytes()
                 for other in results[1:]:
                     assert other[0].tobytes() == log_x.tobytes()
                     assert other[1].tobytes() == du.tobytes()
@@ -763,7 +764,7 @@ class TestInnerRootBracketing:
         kernel = _InnerKernel(spec, h_T1, w_T1)
         c_fixed = solve_fixed_horizon(spec, horizon=12.0).nu
         # every path live, and 2% of them on the zero branch
-        proven = [kernel._log_roots(c, math.log(c)) for c in (c_fixed, 100.0 * c_fixed)]
+        proven = [kernel._roots(c, math.log(c))[0] for c in (c_fixed, 100.0 * c_fixed)]
         at_lo = []
         residual = _InnerKernel.residual
 
@@ -774,7 +775,7 @@ class TestInnerRootBracketing:
         monkeypatch.setattr(_InnerKernel, "_floor_at", lambda *args: -math.inf)
         monkeypatch.setattr(_InnerKernel, "residual", recorded)
         for c, roots in zip((c_fixed, 100.0 * c_fixed), proven):
-            assert kernel._log_roots(c, math.log(c)).tobytes() == roots.tobytes()
+            assert kernel._roots(c, math.log(c))[0].tobytes() == roots.tobytes()
         assert sum(at_lo) == 2 * len(kernel._blocks)
 
 
@@ -859,6 +860,105 @@ class TestContinuation:
         live = ~sol.zero_mask
         assert sol.budget_residual <= 1e-3
         assert np.nanmax(np.abs(sol.inner_residuals[live])) <= 1e-10
+
+
+class TestSaturatedNdtr:
+    """``_Continuation._ndtr`` skips ndtr where it is exactly 1.0, and changes no bit."""
+
+    # where ndtr first reaches 1.0 with scipy 1.17.1, and the cut
+    EDGES = (8.292361075813597, nonconcave._NDTR_ONE)
+
+    @staticmethod
+    def assert_plain(claim, z_1, z_q=None):
+        # z_q lies at or above z_1 (by s_dt / gamma), as in every claim
+        z_q = z_1 + 0.5 if z_q is None else z_q
+        got = claim._ndtr(z_q, z_1)
+        for value, z in zip(got, (z_q, z_1)):
+            assert np.array_equal(value, ndtr(z), equal_nan=True)
+            assert np.array_equal(np.isnan(value), np.isnan(z))
+
+    @staticmethod
+    def near(z):
+        """z and the two doubles on either side of it."""
+        below, above = np.nextafter(z, -np.inf), np.nextafter(z, np.inf)
+        return [np.nextafter(below, -np.inf), below, z, above, np.nextafter(above, np.inf)]
+
+    @pytest.fixture
+    def claim(self, spec):
+        paths = simulate_paths(spec.market, [8.0], 10, seed=SEED)
+        w, h = paths.column(8.0)
+        return _Continuation(spec, 8.0, 12.0, w, h)
+
+    @pytest.mark.parametrize(
+        "z_1",
+        [
+            np.linspace(8.5, 40.0, 1000),  # all saturated
+            np.linspace(-40.0, 8.49, 1000),  # none saturated
+            np.linspace(-5.0, 20.0, 1000),  # half saturated, sorted
+            np.random.default_rng(SEED).permutation(np.linspace(-5.0, 20.0, 1000)),  # scattered
+            np.linspace(-30.0, 10.0, 1000),  # a few saturated: ndtr on the whole arrays
+        ],
+        ids=["saturated", "unsaturated", "mixed-sorted", "mixed-scattered", "few-saturated"],
+    )
+    def test_matches_ndtr(self, claim, z_1):
+        self.assert_plain(claim, z_1)
+
+    @pytest.mark.parametrize("fill", [9.0, -1.0], ids=["among-saturated", "among-unsaturated"])
+    def test_nan_and_infinities(self, claim, fill):
+        z_1 = np.full(64, fill)
+        z_1[[3, 17, 40]] = np.nan, np.inf, -np.inf
+        self.assert_plain(claim, z_1)
+        self.assert_plain(claim, z_1, z_q=z_1)
+
+    @pytest.mark.parametrize("edge", EDGES, ids=["ndtr-one", "cut"])
+    def test_two_ulps_around_the_edges(self, claim, edge):
+        z = np.array(self.near(edge))
+        assert len(set(z.tolist())) == 5
+        for z_1 in (z, np.concatenate([z, np.full(40, 20.0)])):
+            self.assert_plain(claim, z_1)
+            self.assert_plain(claim, z_1, z_q=z_1)
+            self.assert_plain(claim, z_1 - 1e-3, z_q=z_1)
+
+    def test_grid_claim_calls_ndtr_plainly(self, spec):
+        paths = simulate_paths(spec.market, [8.0], 1000, seed=SEED)
+        w, h = (a.reshape(20, 50) for a in paths.column(8.0))
+        claim = _Continuation(spec, 8.0, 12.0, w, h)
+        assert not claim._cut
+        self.assert_plain(claim, np.linspace(-5.0, 20.0, 1000).reshape(20, 50))
+
+    def test_zero_d_claim_calls_ndtr_plainly(self, spec):
+        claim = _Continuation(spec, 0.0, 12.0, 0.0, 1.0)
+        assert not claim._cut
+        for z in (9.0, 1.0, np.nan, np.inf, -np.inf, *self.near(nonconcave._NDTR_ONE)):
+            for z_1 in (np.float64(z), np.array(z)):
+                got = claim._ndtr(z_1 + 0.5, z_1)
+                assert np.array_equal(got[0], ndtr(z_1 + 0.5), equal_nan=True)
+                assert np.array_equal(got[1], ndtr(z_1), equal_nan=True)
+                assert np.ndim(got[0]) == np.ndim(got[1]) == 0
+
+    def test_ndtr_is_one_from_the_cut(self):
+        # if a future scipy saturated later, the skipped values would not be 1.0
+        assert np.all(ndtr(np.linspace(nonconcave._NDTR_ONE, 40.0, 10**6)) == 1.0)
+        assert ndtr(np.inf) == 1.0
+
+    def test_few_elements_reach_ndtr(self, monkeypatch, spec):
+        reached, evaluated = [0], [0]
+        plain, helper = nonconcave.ndtr, _Continuation._ndtr
+
+        def counted(z):
+            reached[0] += np.size(z)
+            return plain(z)
+
+        def counted_helper(claim, z_q, z_1):
+            evaluated[0] += np.size(z_q) + np.size(z_1)
+            return helper(claim, z_q, z_1)
+
+        monkeypatch.setattr(nonconcave, "ndtr", counted)
+        monkeypatch.setattr(_Continuation, "_ndtr", counted_helper)
+        sol = solve_uncertain_horizon(spec, 10_000, seed=1)
+        assert sol.budget_residual <= 1e-3
+        # 0.04% here, and about 0.1% over the nine prob-sweep problems
+        assert evaluated[0] > 10**5 and reached[0] <= 0.01 * evaluated[0]
 
 
 class TestWealthAt:
